@@ -12,8 +12,8 @@ import shlex
 import sys
 
 from .circle import decompose, solve_quadratic, sqrt_char2, unit_circle
-from .families import (FAMILY_IDS, FamilyParams, make_family,
-                       field_for_family, proof_identity_check)
+from .families import (ELEMENT_PARAMS, FAMILY_IDS, INT_PARAMS, SCHEMA,
+                       FamilyParams, field_for_family, make_family)
 from .field import build_field, parse_field_descriptor
 from .perm import is_complete_permutation, is_permutation, lemma1_check
 from .poly import SparsePoly, parse_poly, to_text
@@ -93,22 +93,16 @@ def cmd_lemma1(args):
 
 def _family_params(args, ctx):
     values = {}
-    for name in ("m", "k", "e", "q", "s", "r"):
+    for name in INT_PARAMS + ELEMENT_PARAMS:
         v = getattr(args, name)
         if v is not None:
-            values[name] = v
-    for name in ("b", "c", "bprime", "delta", "a"):
-        v = getattr(args, name)
-        if v is not None:
-            values[name] = ctx.parse_element(v)
+            values[name] = v if name in INT_PARAMS else ctx.parse_element(v)
     return FamilyParams(family=args.family, ctx=ctx, **values)
 
 
 def _family_field_params(args):
-    needed = {"P1": ("m", "k"), "P2": ("m", "s"), "P3": ("m",),
-              "P4": ("q", "e"), "P5": ("m",), "P6": ("k",)}[args.family]
     out = {}
-    for name in needed:
+    for name in SCHEMA[args.family][0]:
         v = getattr(args, name)
         if v is None:
             raise ValueError(f"family {args.family} needs --{name}")
@@ -159,6 +153,9 @@ def cmd_scan(args):
     print(f"discrepancies: {t.discrepancy_count}"
           + (" (sampled violating side)" if t.sampled else ""))
     print("PASS" if t.passed else "FAIL")
+    if t.passed and t.satisfying == 0:
+        print("warning: no tuple satisfies the hypotheses; PASS is vacuous",
+              file=sys.stderr)
     if args.out:
         write_report(report, args.out, args.format)
         print(f"report written to {args.out}")
@@ -167,7 +164,7 @@ def cmd_scan(args):
 
 def _reconstruct_command(args, report):
     parts = ["permupoly", "scan", "--family", args.family, "--mode", args.mode]
-    for name in ("m", "k", "e", "q", "s", "r"):
+    for name in INT_PARAMS:
         v = getattr(args, name)
         if v is not None:
             parts += [f"--{name}", str(v)]
@@ -240,9 +237,9 @@ def _build_parser():
 
     def add_family_args(p):
         p.add_argument("--family", required=True, choices=FAMILY_IDS)
-        for name in ("m", "k", "e", "q", "s", "r"):
+        for name in INT_PARAMS:
             p.add_argument(f"--{name}", type=int)
-        for name in ("b", "c", "bprime", "delta", "a"):
+        for name in ELEMENT_PARAMS:
             p.add_argument(f"--{name}")
         p.add_argument("--modulus", help="modulus override, packed 0x.. code")
         p.add_argument("--out", help="write a JSON report here")

@@ -16,6 +16,7 @@ Fields per family:
   P6 over GF(2^(2k)):    (x^2 + x + delta)^(2^(2k-1)-2^(k-1)) + b*x
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,8 +24,6 @@ import numpy as np
 
 from .field import build_field
 from .poly import CompositePoly, SparsePoly, evaluate, evaluate_all
-
-FAMILY_IDS = ("P1", "P2", "P3", "P4", "P5", "P6")
 
 # clause tested by scan_necessity, per family
 NECESSITY_CLAUSE = {
@@ -66,6 +65,23 @@ class HypothesisChecklist:
                  "gating": e.gating} for e in self.entries]
 
 
+INT_PARAMS = ("m", "k", "e", "q", "s", "r")
+ELEMENT_PARAMS = ("b", "c", "bprime", "delta", "a")
+
+# family -> (field parameters, enumerated parameters, optional parameters).
+# Field parameters fix the ambient field; the enumerated ones are the axes
+# of iter_family, outermost first.
+SCHEMA = {
+    "P1": (("m", "k"), ("b", "delta"), ("c",)),
+    "P2": (("m", "s"), ("b", "delta"), ()),
+    "P3": (("m",), ("bprime", "b"), ()),
+    "P4": (("q", "e"), ("r", "a"), ()),
+    "P5": (("m",), ("b", "delta"), ()),
+    "P6": (("k",), ("b", "delta"), ()),
+}
+FAMILY_IDS = tuple(SCHEMA)
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     family: str
@@ -82,38 +98,16 @@ class FamilyParams:
     delta: int | None = None
     a: int | None = None
 
-    def field_values(self):
-        out = {}
-        for name in ("m", "k", "e", "q", "s", "r"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
-
-    def element_values(self):
-        out = {}
-        for name in ("b", "c", "bprime", "delta", "a"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+    def given(self, names):
+        """{name: value} for the names in `names` that are set."""
+        return {n: getattr(self, n) for n in names if getattr(self, n) is not None}
 
     def to_dict(self):
         fmt = self.ctx.format_element
         out = {"family": self.family}
-        out.update(self.field_values())
-        out.update({k: fmt(v) for k, v in self.element_values().items()})
+        out.update(self.given(INT_PARAMS))
+        out.update({k: fmt(v) for k, v in self.given(ELEMENT_PARAMS).items()})
         return out
-
-
-_REQUIRED = {
-    "P1": (("m", "k"), ("b", "delta"), ("c",)),
-    "P2": (("m", "s"), ("b", "delta"), ()),
-    "P3": (("m",), ("bprime", "b"), ()),
-    "P4": (("q", "e", "r"), ("a",), ()),
-    "P5": (("m",), ("b", "delta"), ()),
-    "P6": (("k",), ("b", "delta"), ()),
-}
 
 
 def _prime_power(q):
@@ -154,30 +148,41 @@ def field_for_family(family, field_params, modulus=None):
 
 def validate_params(params):
     fam = params.family
-    if fam not in FAMILY_IDS:
+    if fam not in SCHEMA:
         raise ValueError(f"unknown family {fam!r}")
-    ints_req, elems_req, optional = _REQUIRED[fam]
-    allowed = set(ints_req) | set(elems_req) | set(optional)
-    for name in ("m", "k", "e", "q", "s", "r", "b", "c", "bprime", "delta", "a"):
+    field, enumerated, optional = SCHEMA[fam]
+    required = field + enumerated
+    for name in INT_PARAMS + ELEMENT_PARAMS:
         v = getattr(params, name)
         if v is None:
-            if name in ints_req or name in elems_req:
+            if name in required:
                 raise ValueError(f"{fam} requires parameter {name}")
-        elif name not in allowed:
+        elif name not in required and name not in optional:
             raise ValueError(f"{fam} does not take parameter {name}")
-    for name in ints_req:
+    for name in required:
         v = getattr(params, name)
-        if not isinstance(v, int) or v < 1:
+        if name in INT_PARAMS and (not isinstance(v, int) or v < 1):
             raise ValueError(f"{fam} parameter {name} must be a positive integer")
     ctx = params.ctx
-    p, n = family_field_shape(fam, params.field_values())
+    ints = params.given(INT_PARAMS)
+    p, n = family_field_shape(fam, ints)
     if (ctx.p, ctx.n) != (p, n):
-        raise ValueError(f"{fam} with {params.field_values()} lives in "
-                         f"GF({p}^{n}), not {ctx!r}")
-    for name, v in params.element_values().items():
+        raise ValueError(f"{fam} with {ints} lives in GF({p}^{n}), not {ctx!r}")
+    for name, v in params.given(ELEMENT_PARAMS).items():
         if not isinstance(v, int) or not 0 <= v < ctx.q:
             raise ValueError(f"element parameter {name}={v!r} is not in {ctx!r}")
     return params
+
+
+def _p1_c_exponent(m, q):
+    """Exponent of b in P1's coefficient c = b^(1-2^(2m)), reduced mod q-1."""
+    return (1 - (1 << (2 * m))) % (q - 1)
+
+
+def _p4_exponents(q, e):
+    """P4's allowed r: 1 and q^(e-1)+...+q^2+1 (the same value when e <= 2)."""
+    r_big = sum(q ** i for i in range(2, e)) + 1
+    return (1, r_big) if r_big != 1 else (1,)
 
 
 def _fmt(ctx, x):
@@ -203,7 +208,7 @@ def make_family(params):
     if fam == "P1":
         m, k, b, delta = params.m, params.k, params.b, params.delta
         n = m * k
-        exp_c = (1 - (1 << (2 * m))) % (ctx.q - 1)
+        exp_c = _p1_c_exponent(m, ctx.q)
         derived_c = ctx.pow(b, exp_c)
         c = params.c if params.c is not None else derived_c
         inner = SparsePoly.make(ctx, [(1, b), (0, delta)])
@@ -264,7 +269,7 @@ def make_family(params):
 
     if fam == "P4":
         q, e, r, a = params.q, params.e, params.r, params.a
-        r_big = sum(q ** i for i in range(2, e)) + 1
+        rs = _p4_exponents(q, e)
         norm_exp = (ctx.q - 1) // (q - 1)
         norm = ctx.pow(a, norm_exp)
         minus_one = ctx.neg(1)
@@ -272,8 +277,8 @@ def make_family(params):
         gcd_val = math.gcd(e - 1, q - 1)
         poly = CompositePoly.monomials(ctx, [(r + q - 1, 1), (r, a)])
         checklist = HypothesisChecklist((
-            ChecklistEntry("r in {1, q^(e-1)+...+q^2+1}", r in (1, r_big),
-                           f"r={r}, allowed {{1, {r_big}}}"),
+            ChecklistEntry("r in {1, q^(e-1)+...+q^2+1}", r in rs,
+                           f"r={r}, allowed {{1, {rs[-1]}}}"),
             ChecklistEntry("a != 0", a != 0, f"a={_fmt(ctx, a)}"),
             ChecklistEntry("norm(a) != (-1)^e", norm != target,
                            f"a^{norm_exp}={_fmt(ctx, norm)}, "
@@ -326,63 +331,45 @@ def make_family(params):
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _domain_sizes(family, fp):
-    """Cardinality of the enumeration domain, computable before field build."""
-    p, n = family_field_shape(family, fp)
-    q = p ** n
+def _domains(family, fp, elems):
+    """Values of each enumerated parameter in SCHEMA order, drawn from the
+    field's elements `elems` (canonical order, zero first)."""
     if family == "P4":
-        r_big = sum(fp["q"] ** i for i in range(2, fp["e"])) + 1
-        return (2 if r_big != 1 else 1) * (q - 1)
+        return [_p4_exponents(fp["q"], fp["e"]), elems[1:]]
     if family == "P6":
-        return (q - 1) * q
-    return q * q
-
-
-def _domains(family, fp, ctx):
-    """Ordered (name, values) axes; elements in canonical enumeration order."""
-    elems = ctx.elements_in_order()
-    nonzero = elems[1:]
-    if family == "P1":
-        return [("b", elems), ("delta", elems)]
-    if family in ("P2", "P5"):
-        return [("b", elems), ("delta", elems)]
-    if family == "P3":
-        return [("bprime", elems), ("b", elems)]
-    if family == "P4":
-        q, e = fp["q"], fp["e"]
-        r_big = sum(q ** i for i in range(2, e)) + 1
-        rs = [1, r_big] if r_big != 1 else [1]
-        return [("r", rs), ("a", nonzero)]
-    if family == "P6":
-        return [("b", nonzero), ("delta", elems)]
-    raise ValueError(f"unknown family {family!r}")
+        return [elems[1:], elems]
+    return [elems, elems]
 
 
 def check_enumeration_guard(family, field_params):
-    size = _domain_sizes(family, field_params)
+    """Size of the parameter domain, computed before any field is built."""
+    p, n = family_field_shape(family, field_params)
+    size = math.prod(map(len, _domains(family, field_params, range(p ** n))))
     if size > ENUMERATION_GUARD:
         raise ValueError(f"parameter space has {size} combinations, "
                          f"above the guard of {ENUMERATION_GUARD}")
     return size
 
 
-def iter_family(family, field_params, ctx=None, modulus=None):
-    """Yield (params, poly, checklist) over the full parameter domain."""
+def iter_family(family, field_params, ctx=None, modulus=None, start=0,
+                stop=None):
+    """Yield (params, poly, checklist) over the parameter domain, or over
+    its tuples start..stop-1 in enumeration order; tuples outside that
+    range are never constructed."""
     check_enumeration_guard(family, field_params)
     if ctx is None:
         ctx = field_for_family(family, field_params, modulus)
     base = FamilyParams(family=family, ctx=ctx, **field_params)
-    axes = _domains(family, field_params, ctx)
-    if len(axes) == 1:
-        combos = ((v,) for v in axes[0][1])
-    else:
-        combos = ((v0, v1) for v0 in axes[0][1] for v1 in axes[1][1])
-    names = [name for name, _ in axes]
-    for combo in combos:
-        params = replace(base, **dict(zip(names, combo)))
+    names = SCHEMA[family][1]
+    if family == "P1":
+        exp_c = _p1_c_exponent(field_params["m"], ctx.q)
+    combos = itertools.product(
+        *_domains(family, field_params, ctx.elements_in_order()))
+    for combo in itertools.islice(combos, start, stop):
+        values = dict(zip(names, combo))
         if family == "P1":
-            exp_c = (1 - (1 << (2 * field_params["m"]))) % (ctx.q - 1)
-            params = replace(params, c=ctx.pow(params.b, exp_c))
+            values["c"] = ctx.pow(values["b"], exp_c)
+        params = replace(base, **values)
         poly, checklist = make_family(params)
         yield params, poly, checklist
 
@@ -435,8 +422,8 @@ def proof_identity_check(family, params, d=None):
             raise ValueError("P1 identity check needs a target value d")
         m = params.m
         b, delta = params.b, params.delta
-        exp_c = (1 - (1 << (2 * m))) % (ctx.q - 1)
-        c = params.c if params.c is not None else ctx.pow(b, exp_c)
+        c = (params.c if params.c is not None
+             else ctx.pow(b, _p1_c_exponent(m, ctx.q)))
         e = (1 << m) + 1
         if math.gcd(e, ctx.q - 1) != 1:
             raise ValueError("2^m+1 is not invertible mod q-1")

@@ -216,20 +216,6 @@ class FieldCtx:
     def has_tables(self):
         return self._exp is not None
 
-    def coeffs(self, a):
-        """Coefficient vector of a, constant term first."""
-        return _digits_of(a, self.p, self.n)
-
-    def from_coeffs(self, digits):
-        if len(digits) > self.n or any(not 0 <= d < self.p for d in digits):
-            raise ValueError("coefficient vector out of range")
-        return _code_of(tuple(digits), self.p)
-
-    def check_element(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not an element code of {self!r}")
-        return a
-
     # -- scalar arithmetic --------------------------------------------------
 
     def add(self, a, b):

@@ -71,11 +71,6 @@ class CompositePoly:
         return CompositePoly.make((c, x, e) for e, c in sorted(merged.items()))
 
     @staticmethod
-    def from_sparse(sp):
-        x = SparsePoly(X_TERMS)
-        return CompositePoly.make((c, x, e) for e, c in sp.terms)
-
-    @staticmethod
     def identity():
         return CompositePoly(((1, SparsePoly(X_TERMS), 1),))
 
@@ -150,17 +145,13 @@ def reduce_mod_field(ctx, f):
         nz = np.nonzero(vg)[0]
         logv = L[vg[nz]]
         for j in range(1, qm1):
-            cj = ctx.neg(int_field_sum(ctx, E[(logv - j * nz) % qm1]))
+            cj = ctx.neg(ctx.field_sum_vec(E[(logv - j * nz) % qm1]))
             if cj:
                 pairs.append((j, cj))
         c_top = ctx.neg(ctx.field_sum_vec(values))
         if c_top:
             pairs.append((qm1, c_top))
     return SparsePoly(tuple(pairs), reduced=True)
-
-
-def int_field_sum(ctx, A):
-    return ctx.field_sum_vec(A)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,16 @@ of the designated condition and fills a 2x2 confusion matrix over
 (condition holds, is permutation); it passes when the off-diagonal cells
 are exactly zero.
 
+Which parameters a family takes, and which of them are enumerated, comes
+from families.SCHEMA; the CSV parameter columns follow INT_PARAMS and
+ELEMENT_PARAMS.  One verdict loop serves both modes: `_condition` says
+whether a tuple is skipped, and otherwise whether the tested condition
+holds, which is the expected permutation verdict.
+
 Scans are deterministic: the parameter space is split into contiguous
-index ranges, partial reports are merged in range order, and the result
-is independent of the worker count.  PERMUPOLY_THREADS bounds workers.
+index ranges, each range builds only its own tuples and returns a partial
+ScanReport, partials are merged in range order, and the result is
+independent of the worker count.  PERMUPOLY_THREADS bounds workers.
 """
 
 import csv
@@ -20,8 +27,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
-from .families import (NECESSITY_CLAUSE, check_enumeration_guard,
-                       field_for_family, iter_family)
+from .families import (ELEMENT_PARAMS, INT_PARAMS, NECESSITY_CLAUSE,
+                       check_enumeration_guard, field_for_family, iter_family)
 from .perm import is_permutation
 
 DISCREPANCY_CAP = 100
@@ -119,44 +126,43 @@ def _discrepancy(ctx, params, expected, observed, witness):
 
 
 def _row(params, satisfied, condition, is_pp):
-    row = dict(params.to_dict())
+    row = params.to_dict()
     row["satisfied"] = satisfied
     if condition is not None:
         row["condition"] = condition
-    if is_pp is not None:
-        row["is_pp"] = is_pp
+    row["is_pp"] = is_pp
     return row
 
 
-@dataclass
-class _Partial:
-    total: int = 0
-    satisfying: int = 0
-    pp_sat: int = 0
-    pp_viol: int = 0
-    tt: int = 0
-    tf: int = 0
-    ft: int = 0
-    ff: int = 0
-    discrepancies: list = dc_field(default_factory=list)
-    discrepancy_count: int = 0
-    rows: list = dc_field(default_factory=list)
+def _condition(checklist, cond_name):
+    """None to skip the tuple, else whether the tested condition holds.
+
+    The tested condition is the clause cond_name (necessity scans) or, with
+    cond_name None, every gating clause (sufficiency scans).  A tuple is
+    skipped when a gating clause other than the condition fails, so False
+    means the other hypotheses hold and the condition does not.
+    """
+    if not all(e.ok for e in checklist.entries
+               if e.gating and e.name != cond_name):
+        return None
+    return cond_name is None or checklist.entry(cond_name).ok
 
 
-def _scan(family, field_params, mode, ctx, workers, row_cap, sample_threshold):
-    check_enumeration_guard(family, field_params)
+def _scan(family, field_params, mode, modulus, ctx, workers, row_cap,
+          sample_threshold):
+    domain = check_enumeration_guard(family, field_params)
     if mode == "necessity" and family not in NECESSITY_CLAUSE:
         raise ValueError(f"necessity scans exist only for "
                          f"{sorted(NECESSITY_CLAUSE)}; got {family}")
-    cond_name = NECESSITY_CLAUSE.get(family)
+    if ctx is None:
+        ctx = field_for_family(family, field_params, modulus)
+    cond_name = NECESSITY_CLAUSE[family] if mode == "necessity" else None
     workers = _workers(workers)
     start = time.perf_counter()
-
-    def tuples():
-        return iter_family(family, field_params, ctx)
-
-    domain = check_enumeration_guard(family, field_params)
     slices = _slices(domain, workers)
+
+    def tuples(lo, hi):
+        return iter_family(family, field_params, ctx, start=lo, stop=hi)
 
     # Sampling pre-pass: necessity scans evaluate the condition-violating
     # side exhaustively up to the threshold; above it, a deterministic
@@ -164,80 +170,42 @@ def _scan(family, field_params, mode, ctx, workers, row_cap, sample_threshold):
     stride = 1
     viol_prefix = [0] * len(slices)
     if mode == "necessity" and domain > sample_threshold:
-        viol_counts = []
-        it = tuples()
-        for lo, hi in slices:
-            cnt = 0
-            for _, _, checklist in itertools.islice(it, hi - lo):
-                gates_ok = all(e.ok for e in checklist.entries
-                               if e.gating and e.name != cond_name)
-                if gates_ok and not checklist.entry(cond_name).ok:
-                    cnt += 1
-            viol_counts.append(cnt)
+        viol_counts = [sum(_condition(checklist, cond_name) is False
+                           for _, _, checklist in tuples(lo, hi))
+                       for lo, hi in slices]
         total_viol = sum(viol_counts)
         if total_viol > sample_threshold:
             stride = -(-total_viol // sample_threshold)  # ceil
-        acc = 0
-        for i, cnt in enumerate(viol_counts):
-            viol_prefix[i] = acc
-            acc += cnt
+        viol_prefix = list(itertools.accumulate(viol_counts, initial=0))
 
     def run_slice(idx):
-        lo, hi = slices[idx]
-        part = _Partial()
+        part = ScanReport(family, mode, {}, {})
         viol_ordinal = viol_prefix[idx]
-        it = itertools.islice(tuples(), lo, hi)
-        for params, poly, checklist in it:
-            if mode == "sufficiency":
-                part.total += 1
-                if not checklist.satisfied():
+        for params, poly, checklist in tuples(*slices[idx]):
+            cond = _condition(checklist, cond_name)
+            if cond is None:
+                continue
+            if not cond:
+                take = (viol_ordinal % stride) == 0
+                viol_ordinal += 1
+                if not take:
                     continue
-                part.satisfying += 1
-                rep = is_permutation(ctx, poly)
-                if rep.permutation:
-                    part.pp_sat += 1
-                else:
-                    part.discrepancy_count += 1
-                    part.discrepancies.append(_discrepancy(
-                        ctx, params, "permutation", "not-permutation",
-                        rep.witness))
-                part.rows.append(_row(params, True, None, rep.permutation))
-            else:
-                gates_ok = all(e.ok for e in checklist.entries
-                               if e.gating and e.name != cond_name)
-                if not gates_ok:
-                    continue
-                cond = checklist.entry(cond_name).ok
-                if not cond:
-                    take = (viol_ordinal % stride) == 0
-                    viol_ordinal += 1
-                    if not take:
-                        continue
-                part.total += 1
-                rep = is_permutation(ctx, poly)
+            part.total += 1
+            rep = is_permutation(ctx, poly)
+            part.satisfying += cond
+            if rep.permutation:
                 if cond:
-                    part.satisfying += 1
-                    if rep.permutation:
-                        part.tt += 1
-                        part.pp_sat += 1
-                    else:
-                        part.tf += 1
-                        part.discrepancy_count += 1
-                        part.discrepancies.append(_discrepancy(
-                            ctx, params, "permutation", "not-permutation",
-                            rep.witness))
+                    part.pp_true_satisfying += 1
                 else:
-                    if rep.permutation:
-                        part.ft += 1
-                        part.pp_viol += 1
-                        part.discrepancy_count += 1
-                        part.discrepancies.append(_discrepancy(
-                            ctx, params, "not-permutation", "permutation",
-                            None))
-                    else:
-                        part.ff += 1
-                part.rows.append(_row(params, checklist.satisfied(), cond,
-                                      rep.permutation))
+                    part.pp_true_violating += 1
+            if rep.permutation != cond:
+                expected = "permutation" if cond else "not-permutation"
+                part.discrepancies.append(_discrepancy(
+                    ctx, params, expected, rep.verdict,
+                    rep.witness if cond else None))
+            part.rows.append(_row(params, checklist.satisfied(),
+                                  None if cond_name is None else cond,
+                                  rep.permutation))
         return part
 
     if workers == 1 or len(slices) == 1:
@@ -255,22 +223,20 @@ def _scan(family, field_params, mode, ctx, workers, row_cap, sample_threshold):
     for part in parts:
         report.total += part.total
         report.satisfying += part.satisfying
-        report.pp_true_satisfying += part.pp_sat
-        report.pp_true_violating += part.pp_viol
-        report.confusion["tt"] += part.tt
-        report.confusion["tf"] += part.tf
-        report.confusion["ft"] += part.ft
-        report.confusion["ff"] += part.ff
-        report.discrepancy_count += part.discrepancy_count
+        report.pp_true_satisfying += part.pp_true_satisfying
+        report.pp_true_violating += part.pp_true_violating
         report.discrepancies.extend(part.discrepancies)
-        if not report.rows_truncated:
-            room = row_cap - len(report.rows)
-            if len(part.rows) > room:
-                report.rows.extend(part.rows[:room])
-                report.rows_truncated = True
-            else:
-                report.rows.extend(part.rows)
-    report.discrepancies = report.discrepancies[:DISCREPANCY_CAP]
+        report.rows.extend(part.rows)
+    if mode == "sufficiency":
+        report.total = domain   # every tuple counts, evaluated or not
+    else:
+        tt, ft = report.pp_true_satisfying, report.pp_true_violating
+        report.confusion = dict(tt=tt, tf=report.satisfying - tt, ft=ft,
+                                ff=report.total - report.satisfying - ft)
+    report.discrepancy_count = len(report.discrepancies)
+    del report.discrepancies[DISCREPANCY_CAP:]
+    report.rows_truncated = len(report.rows) > row_cap
+    del report.rows[row_cap:]
     report.duration_ms = (time.perf_counter() - start) * 1e3
     return report
 
@@ -278,28 +244,23 @@ def _scan(family, field_params, mode, ctx, workers, row_cap, sample_threshold):
 def scan_sufficiency(family, field_params, modulus=None, ctx=None,
                      workers=None, row_cap=ROW_CAP):
     """Check that every hypothesis-satisfying tuple yields a permutation."""
-    if ctx is None:
-        ctx = field_for_family(family, field_params, modulus)
-    return _scan(family, field_params, "sufficiency", ctx, workers, row_cap,
-                 SAMPLE_THRESHOLD)
+    return _scan(family, field_params, "sufficiency", modulus, ctx, workers,
+                 row_cap, SAMPLE_THRESHOLD)
 
 
 def scan_necessity(family, field_params, modulus=None, ctx=None,
                    workers=None, row_cap=ROW_CAP,
                    sample_threshold=SAMPLE_THRESHOLD):
     """Confusion-matrix test of the designated condition (P5, P6 only)."""
-    if ctx is None:
-        ctx = field_for_family(family, field_params, modulus)
-    return _scan(family, field_params, "necessity", ctx, workers, row_cap,
-                 sample_threshold)
+    return _scan(family, field_params, "necessity", modulus, ctx, workers,
+                 row_cap, sample_threshold)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-_CSV_PARAM_COLS = ("m", "k", "e", "q", "s", "r", "b", "c", "bprime",
-                   "delta", "a")
+_CSV_PARAM_COLS = INT_PARAMS + ELEMENT_PARAMS
 
 
 def report_json(report):

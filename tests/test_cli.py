@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from permupoly.cli import main
+from permupoly.families import ELEMENT_PARAMS, INT_PARAMS, SCHEMA
 
 
 def run(capsys, *argv):
@@ -179,3 +182,55 @@ def test_field_info_cli(capsys):
 def test_field_descriptor_with_modulus(capsys):
     code, out, _ = run(capsys, "field-info", "--field", "2^6:modulus=0x6d")
     assert code == 0 and "0x6d" in out
+
+
+# one valid flag set per family; the cases below come from families.SCHEMA
+FAMILY_FLAGS = {
+    "P1": {"m": "2", "k": "3", "b": "g^1", "delta": "g^3", "c": "g^48"},
+    "P2": {"m": "3", "s": "6", "b": "g^9", "delta": "g^18"},
+    "P3": {"m": "2", "bprime": "g^3", "b": "g^1"},
+    "P4": {"q": "5", "e": "2", "r": "1", "a": "g^1"},
+    "P5": {"m": "2", "b": "g^1", "delta": "g^2"},
+    "P6": {"k": "2", "b": "g^5", "delta": "g^1"},
+}
+
+
+def _flags(values):
+    return [arg for name, v in values.items() for arg in (f"--{name}", v)]
+
+
+def _schema_cases():
+    for fam, (field, enumerated, optional) in SCHEMA.items():
+        for name in field:
+            for cmd in ("family", "scan"):
+                yield cmd, fam, name, None, f"error: family {fam} needs --{name}\n"
+        for name in enumerated:
+            yield ("family", fam, name, None,
+                   f"error: {fam} requires parameter {name}\n")
+        for name in INT_PARAMS + ELEMENT_PARAMS:
+            if name not in field + enumerated + optional:
+                yield ("family", fam, None, name,
+                       f"error: {fam} does not take parameter {name}\n")
+
+
+@pytest.mark.parametrize("cmd, family, drop, extra, message",
+                         list(_schema_cases()))
+def test_schema_driven_flag_errors(capsys, cmd, family, drop, extra, message):
+    assert set(FAMILY_FLAGS[family]) == set(sum(SCHEMA[family], ()))
+    values = {k: v for k, v in FAMILY_FLAGS[family].items() if k != drop}
+    if extra is not None:
+        values[extra] = "1"
+    code, out, err = run(capsys, cmd, "--family", family, *_flags(values))
+    assert (code, out, err) == (2, "", message)
+
+
+def test_vacuous_pass_warns(capsys):
+    code, out, err = run(capsys, "scan", "--family", "P4", "--q", "4", "--e", "1")
+    assert code == 0
+    assert out == ("scan P4 mode=sufficiency over GF(2^2) modulus 0x7\n"
+                   "tuples 3, satisfying 0, pp among satisfying 0, "
+                   "pp among violating 0\ndiscrepancies: 0\nPASS\n")
+    assert err == "warning: no tuple satisfies the hypotheses; PASS is vacuous\n"
+    code, out, err = run(capsys, "scan", "--family", "P6", "--k", "2",
+                         "--mode", "necessity")
+    assert code == 0 and "PASS" in out and err == ""
