@@ -11,6 +11,8 @@ after construction, so it can be shared freely across workers.
 import numpy as np
 
 LOG_TABLE_BOUND = 1 << 20
+TABLE_WALK = 64             # generator powers the table build takes by scalar multiply
+TABLE_BLOCK = 1 << 12       # generator powers per matrix step of the table build
 
 
 class ReducibleModulusError(ValueError):
@@ -194,20 +196,20 @@ class FieldCtx:
     Do not construct directly; use build_field.
     """
 
-    def __init__(self, p, n, modulus, generator, exp, log):
+    def __init__(self, p, n, modulus):
         self.p = p
         self.n = n
         self.q = p ** n
         self.modulus = modulus                      # ascending, length n+1, monic
         self.modulus_code = _code_of(modulus, p)
-        self.generator = generator
+        self.generator = 1
         self._qm1 = self.q - 1
-        self._exp = exp                             # exp[i] = code of g^i, or None
-        self._log = log                             # log[code] = i, log[0] = -1
+        self._exp = None                            # exp[i] = code of g^i, or None
+        self._log = None                            # log[code] = i, log[0] = -1
+        self._E = None                              # _exp as an int64 array
+        self._L = None                              # _log as an int64 array, L[0] = 0
+        self._Z = None                              # odd p: Z[i] = log(1 + g^i)
         self._mod_int = self.modulus_code if p == 2 else None
-        self._np_exp = None
-        self._np_log = None
-        self._np_pw = None
         self._as_solver = None                      # lazy, used by circle.solve_quadratic
 
     # -- codec ------------------------------------------------------------
@@ -215,6 +217,24 @@ class FieldCtx:
     @property
     def has_tables(self):
         return self._exp is not None
+
+    def _build_tables(self):
+        """exp/log tables (and the Zech table for odd p) from the generator."""
+        p, qm1 = self.p, self._qm1
+        E = _generator_powers(self)
+        L = np.full(self.q, -1, dtype=np.int64)
+        L[E] = np.arange(qm1, dtype=np.int64)
+        if (self._mul_notable(int(E[-1]), self.generator) != 1
+                or np.count_nonzero(L < 0) != 1):
+            raise ValueError("generator does not have full multiplicative order")
+        self._exp = E.tolist()
+        self._log = L.tolist()
+        if p != 2:
+            # 1 + c only changes the constant digit of c, wrapping p-1 to 0;
+            # Z[(q-1)/2] = -1 because 1 + g^((q-1)/2) = 1 + (-1) = 0
+            self._Z = L[E + np.where(E % p == p - 1, 1 - p, 1)]
+        L[0] = 0        # zero operands gather log 0; every vector op masks them
+        self._E, self._L = E, L
 
     # -- scalar arithmetic --------------------------------------------------
 
@@ -350,47 +370,46 @@ class FieldCtx:
 
     # -- vectorised helpers (code-indexed numpy arrays) ----------------------
 
-    def _vec_tables(self):
-        if self._np_exp is None:
-            if self._exp is None:
-                raise ValueError("vector arithmetic needs log tables (q <= 2^20)")
-            self._np_exp = np.array(self._exp, dtype=np.int64)
-            self._np_log = np.maximum(np.array(self._log, dtype=np.int64), 0)
-            if self.p != 2:
-                self._np_pw = self.p ** np.arange(self.n, dtype=np.int64)
-        return self._np_exp, self._np_log
+    def _tables(self):
+        if self._E is None:
+            raise ValueError("vector arithmetic needs log tables (q <= 2^20)")
+        return self._E, self._L
 
     def add_vec(self, A, B):
         if self.p == 2:
             return np.bitwise_xor(A, B)
-        self._vec_tables()
-        pw = self._np_pw
-        da = (A[..., None] // pw) % self.p
-        db = (B[..., None] // pw) % self.p
-        return (((da + db) % self.p) * pw).sum(axis=-1)
+        # a + b = a * (1 + b/a) = g^(log a + Z[log b - log a])
+        E, L = self._tables()
+        qm1 = self._qm1
+        la = L[A]
+        d = (L[B] - la) % qm1
+        out = E[(la + self._Z[d]) % qm1]
+        out = np.where(d == qm1 // 2, 0, out)       # b = -a
+        out = np.where(A == 0, B, out)
+        return np.where(B == 0, A, out)
 
     def neg_vec(self, A):
         if self.p == 2:
             return A
-        self._vec_tables()
-        pw = self._np_pw
-        da = (A[..., None] // pw) % self.p
-        return (((self.p - da) % self.p) * pw).sum(axis=-1)
+        # -1 = g^((q-1)/2)
+        E, L = self._tables()
+        out = E[(L[A] + self._qm1 // 2) % self._qm1]
+        return np.where(A == 0, 0, out)
 
     def mul_vec(self, A, B):
-        E, L = self._vec_tables()
+        E, L = self._tables()
         out = E[(L[A] + L[B]) % self._qm1]
         return np.where((A == 0) | (B == 0), 0, out)
 
     def scale_vec(self, c, A):
         if c == 0:
             return np.zeros_like(A)
-        E, L = self._vec_tables()
+        E, L = self._tables()
         out = E[(L[A] + self._log[c]) % self._qm1]
         return np.where(A == 0, 0, out)
 
     def pow_vec(self, A, e):
-        E, L = self._vec_tables()
+        E, L = self._tables()
         if e == 0:
             return np.ones_like(A)
         out = E[(L[A] * (e % self._qm1)) % self._qm1]
@@ -402,8 +421,7 @@ class FieldCtx:
             return int(np.bitwise_xor.reduce(A)) if len(A) else 0
         if len(A) == 0:
             return 0
-        self._vec_tables()
-        pw = self._np_pw
+        pw = self.p ** np.arange(self.n, dtype=np.int64)
         da = (np.asarray(A)[..., None] // pw) % self.p
         return int((da.sum(axis=0) % self.p * pw).sum())
 
@@ -451,6 +469,59 @@ class FieldCtx:
         return f"GF({self.p}^{self.n}, modulus={hex(self.modulus_code)})"
 
 
+def _digit_matrix(codes, p, n):
+    """n x len(codes) float64 array; column j holds the base-p digits of codes[j]."""
+    pw = p ** np.arange(n, dtype=np.int64)
+    return ((np.asarray(codes, dtype=np.int64)[None, :] // pw[:, None]) % p
+            ).astype(np.float64)
+
+
+def _generator_powers(ctx, walk=TABLE_WALK, block=TABLE_BLOCK):
+    """g^0, ..., g^(q-2) as an int64 array, g = ctx.generator.
+
+    Multiplication by a fixed c is GF(p)-linear on digit vectors: its matrix
+    has the digits of c * x^j as column j.  The first `walk` powers come from
+    the scalar multiply (all of them in small fields, where numpy's overhead
+    would dominate); as digit columns they then double until `block`
+    columns, and each later block is the matrix of g^block times the block
+    before, mod p.
+
+    Entries stay below n * p^2 <= q^2 <= 2^40, so float64 matmul and
+    floor division are exact, and only one block of digits is live at a time.
+    """
+    p, n, qm1 = ctx.p, ctx.n, ctx.q - 1
+
+    def matrix(c):
+        return _digit_matrix([ctx._mul_notable(c, p ** j) for j in range(n)], p, n)
+
+    def times(M, D):
+        Y = M @ D
+        quo = Y / p                     # Y mod p, without float remainder's cost
+        np.floor(quo, out=quo)
+        quo *= p
+        Y -= quo
+        return Y
+
+    powers = [1]
+    while len(powers) < min(walk, qm1):
+        powers.append(ctx._mul_notable(powers[-1], ctx.generator))
+    D = _digit_matrix(powers, p, n)
+    c = ctx._mul_notable(powers[-1], ctx.generator)  # invariant: c = g^(columns of D)
+    while D.shape[1] < min(block, qm1):
+        D = np.concatenate([D, times(matrix(c), D)], axis=1)
+        c = ctx._mul_notable(c, c)
+    pw = p ** np.arange(n, dtype=np.float64)
+    exp = np.empty(qm1, dtype=np.int64)
+    width = D.shape[1]
+    step = matrix(c) if width < qm1 else None
+    for start in range(0, qm1, width):
+        k = min(width, qm1 - start)
+        exp[start:start + k] = pw @ D[:, :k]
+        if start + k < qm1:
+            D = times(step, D)
+    return exp
+
+
 def _find_generator(ctx_mul, q, candidates):
     qm1 = q - 1
     if qm1 == 1:
@@ -493,6 +564,9 @@ def build_field(p, n, modulus=None):
         mod = canonical_modulus(p, n)
     else:
         if isinstance(modulus, int):
+            # a monic degree-n code lies in [p^n, 2 p^n); digits would drop the rest
+            if not p ** n <= modulus < 2 * p ** n:
+                raise ValueError(f"modulus must be monic of degree {n}")
             mod = _digits_of(modulus, p, n + 1)
         else:
             mod = tuple(int(c) % p for c in modulus)
@@ -507,22 +581,10 @@ def build_field(p, n, modulus=None):
                 f"divisible by {ftext}", factor)
 
     q = p ** n
-    ctx = FieldCtx(p, n, mod, generator=1, exp=None, log=None)
-    gen = _find_generator(ctx._mul_notable, q, range(1, q))
-    ctx.generator = gen
-
+    ctx = FieldCtx(p, n, mod)
+    ctx.generator = _find_generator(ctx._mul_notable, q, range(1, q))
     if q <= LOG_TABLE_BOUND:
-        exp = [0] * (q - 1)
-        log = [-1] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = ctx._mul_notable(x, gen)
-        if x != 1 or log.count(-1) != 1:
-            raise ValueError("generator does not have full multiplicative order")
-        ctx._exp = exp
-        ctx._log = log
+        ctx._build_tables()
     return ctx
 
 

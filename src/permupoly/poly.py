@@ -97,11 +97,18 @@ def evaluate(ctx, f, x):
     return acc
 
 
+def _sum_terms(ctx, X, terms):
+    """Sum of c * T^e over (c, T, e) value arrays; the first term starts the
+    sum, so the empty sum is zeros like X."""
+    acc = None
+    for c, T, e in terms:
+        v = ctx.scale_vec(c, ctx.pow_vec(T, e))
+        acc = v if acc is None else ctx.add_vec(acc, v)
+    return np.zeros_like(X) if acc is None else acc
+
+
 def eval_sparse_all(ctx, sp, X):
-    acc = np.zeros_like(X)
-    for e, c in sp.terms:
-        acc = ctx.add_vec(acc, ctx.scale_vec(c, ctx.pow_vec(X, e)))
-    return acc
+    return _sum_terms(ctx, X, ((c, X, e) for e, c in sp.terms))
 
 
 def evaluate_all(ctx, f):
@@ -114,11 +121,9 @@ def evaluate_all(ctx, f):
     X = np.arange(ctx.q, dtype=np.int64)
     if isinstance(f, SparsePoly):
         return eval_sparse_all(ctx, f, X)
-    acc = np.zeros_like(X)
-    for c, base, e in f.terms:
-        t = eval_sparse_all(ctx, base, X)
-        acc = ctx.add_vec(acc, ctx.scale_vec(c, ctx.pow_vec(t, e)))
-    return acc
+    return _sum_terms(ctx, X, (
+        (c, X if base.is_x() else eval_sparse_all(ctx, base, X), e)
+        for c, base, e in f.terms))
 
 
 def reduce_mod_field(ctx, f):
@@ -138,7 +143,7 @@ def reduce_mod_field(ctx, f):
     if values[0] != 0:
         pairs.append((0, int(values[0])))
     if q > 1:
-        E, L = ctx._vec_tables()
+        E, L = ctx._tables()
         qm1 = q - 1
         # values at g^i in exponent order, with zeros masked out
         vg = values[E]

@@ -184,6 +184,17 @@ def test_field_descriptor_with_modulus(capsys):
     assert code == 0 and "0x6d" in out
 
 
+@pytest.mark.parametrize("argv,degree", [
+    (["--field", "2^6", "--modulus", "0x1c3"], 6),
+    (["--field", "2^6:modulus=0xc3"], 6),
+    (["--field", "3^2", "--modulus", "0x100"], 2),
+])
+def test_out_of_range_modulus_code(capsys, argv, degree):
+    code, out, err = run(capsys, "field-info", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: modulus must be monic of degree {degree}\n"
+
+
 # one valid flag set per family; the cases below come from families.SCHEMA
 FAMILY_FLAGS = {
     "P1": {"m": "2", "k": "3", "b": "g^1", "delta": "g^3", "c": "g^48"},

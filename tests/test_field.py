@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from permupoly import (ReducibleModulusError, build_field, canonical_modulus,
                        parse_field_descriptor)
-from permupoly.field import _code_of, _pmod, _trim
+from permupoly.field import _code_of, _generator_powers, _pmod, _trim
 
 
 def brute_is_irreducible(f, p):
@@ -79,6 +80,15 @@ def test_reducible_modulus_rejected():
     assert factor is not None and 1 <= len(factor) - 1 < 4
     # the named factor really divides
     assert not _pmod((1, 0, 0, 0, 1), factor, 2)
+
+
+@pytest.mark.parametrize("p,n,code", [(2, 6, 0x1c3), (2, 6, 0xc3), (3, 2, 0x100),
+                                      (2, 6, 0x3f), (3, 2, -1)])
+def test_out_of_range_modulus_code_rejected(p, n, code):
+    # a code outside [p^n, 2 p^n) is not monic of degree n; its high digits
+    # must not be dropped to give some other modulus
+    with pytest.raises(ValueError, match=f"modulus must be monic of degree {n}"):
+        build_field(p, n, modulus=code)
 
 
 def test_nonprime_p_rejected():
@@ -216,6 +226,119 @@ def test_log_table_agrees_with_direct_multiplication(gf256, gf625):
         assert x == 1
         # log table is a bijection over nonzero codes
         assert sorted(ctx._exp) == list(range(1, ctx.q))
+
+
+def _scalar_pow(ctx, a, e):
+    acc = 1
+    while e:
+        if e & 1:
+            acc = ctx._mul_notable(acc, a)
+        a = ctx._mul_notable(a, a)
+        e >>= 1
+    return acc
+
+
+def _prime_divisors(m):
+    return [d for d in range(2, m + 1)
+            if m % d == 0 and all(d % k for k in range(2, int(d ** 0.5) + 1))]
+
+
+def walked_tables(ctx):
+    """exp/log lists from the table-free multiply: the smallest code of full
+    order, then one multiplication by it per element."""
+    qm1 = ctx.q - 1
+    big = [qm1 // r for r in _prime_divisors(qm1)]
+    gen = next(a for a in range(1, ctx.q)
+               if all(_scalar_pow(ctx, a, e) != 1 for e in big))
+    exp, log = [], [-1] * ctx.q
+    x = 1
+    for i in range(qm1):
+        exp.append(x)
+        log[x] = i
+        x = ctx._mul_notable(x, gen)
+    assert x == 1
+    return gen, exp, log
+
+
+def _irreducible_codes(p, n):
+    return [code for code in range(p ** n, 2 * p ** n)
+            if brute_is_irreducible(_trim([(code // p ** i) % p
+                                           for i in range(n + 1)]), p)]
+
+
+TABLE_CASES = ([(p, n, None) for p, n in [(2, 1), (3, 1), (7, 1), (1021, 1), (2, 8),
+                                          (3, 5), (5, 4), (7, 2), (1021, 2)]]
+               + [(2, 6, code) for code in _irreducible_codes(2, 6)]
+               + [(3, 4, code) for code in _irreducible_codes(3, 4)[-3:]])
+
+
+@pytest.mark.parametrize("p,n,modulus", TABLE_CASES)
+def test_table_build_matches_scalar_walk(p, n, modulus):
+    ctx = build_field(p, n, modulus)
+    gen, exp, log = walked_tables(ctx)
+    assert ctx.generator == gen
+    assert ctx._exp == exp and ctx._log == log
+    a, b = exp[-1], exp[len(exp) // 2]
+    for value in (ctx.generator, ctx._exp[-1], ctx._log[a], ctx.mul(a, b),
+                  ctx.pow(a, 5), ctx.inv(a), ctx.log(b), ctx.gen_pow(3),
+                  ctx.elements_in_order()[-1]):
+        assert type(value) is int
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 8), (3, 5), (7, 2)])
+def test_generator_powers_any_block(p, n):
+    # fields this small fit in one default block; small blocks exercise the
+    # matrix steps between blocks and a short last block
+    ctx = build_field(p, n)
+    _, exp, _ = walked_tables(ctx)
+    for walk, block in [(1, 1), (1, 2), (1, 3), (2, 5), (3, 16), (64, 100), (1, 64)]:
+        assert _generator_powers(ctx, walk, block).tolist() == exp
+
+
+def test_table_cases_cover_the_moduli():
+    assert len([c for c in TABLE_CASES if c[:2] == (2, 6)]) == 9
+    noncanonical = [c[2] for c in TABLE_CASES if c[:2] == (3, 4)]
+    assert len(noncanonical) == 3
+    assert _code_of(canonical_modulus(3, 4), 3) not in noncanonical
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
+def test_zech_add_vec_exhaustive(p, n):
+    ctx = build_field(p, n)
+    codes = list(range(ctx.q))
+    A, B = (M.ravel() for M in np.meshgrid(codes, codes, indexing="ij"))
+    assert ctx.add_vec(A, B).tolist() == [ctx.add(a, b)
+                                           for a, b in zip(A.tolist(), B.tolist())]
+    assert ctx.neg_vec(np.array(codes)).tolist() == [ctx.neg(a) for a in codes]
+
+
+def test_zech_add_vec_random_gf5_8():
+    ctx = build_field(5, 8)
+    rng = random.Random(20261018)
+    a = [rng.randrange(ctx.q) for _ in range(10 ** 4)]
+    b = [rng.randrange(ctx.q) for _ in range(10 ** 4)]
+    a[:100] = [0] * 100                     # zero left operand
+    b[100:200] = [0] * 100                  # zero right operand
+    a[200:250] = b[200:250] = [0] * 50      # both zero
+    b[250:750] = [ctx.neg(x) for x in a[250:750]]   # b = -a
+    A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert ctx.add_vec(A, B).tolist() == [ctx.add(x, y) for x, y in zip(a, b)]
+    assert ctx.neg_vec(A).tolist() == [ctx.neg(x) for x in a]
+    assert not ctx.add_vec(A[250:750], B[250:750]).any()
+
+
+def test_table_bound_boundary():
+    assert build_field(2, 20).has_tables
+    A = np.arange(8, dtype=np.int64)
+    for ctx in (build_field(2, 21), build_field(3, 13)):
+        assert not ctx.has_tables
+        ops = [lambda: ctx.mul_vec(A, A), lambda: ctx.scale_vec(3, A),
+               lambda: ctx.pow_vec(A, 3)]
+        if ctx.p != 2:
+            ops += [lambda: ctx.add_vec(A, A), lambda: ctx.neg_vec(A)]
+        for op in ops:
+            with pytest.raises(ValueError, match="vector arithmetic needs log tables"):
+                op()
 
 
 def test_table_pow_agrees_with_square_and_multiply(gf256):
