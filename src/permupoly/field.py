@@ -8,11 +8,18 @@ discrete-log tables; all operations are pure and the context is immutable
 after construction, so it can be shared freely across workers.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 LOG_TABLE_BOUND = 1 << 20
 TABLE_WALK = 64             # generator powers the table build takes by scalar multiply
 TABLE_BLOCK = 1 << 12       # generator powers per matrix step of the table build
+TRIAL_DIVISION_BOUND = 1 << 20  # _prime_factors trial-divides up to here
+RHO_BUDGET = 1 << 20        # Pollard rho iterations before _prime_factors gives up
+RHO_BATCH = 128             # rho steps per gcd
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class ReducibleModulusError(ValueError):
@@ -99,18 +106,115 @@ def _frob_power(mod, k, p):
     return t
 
 
+def _is_probable_prime(n):
+    """Miller-Rabin on the first 13 prime bases; deterministic for
+    n < 3.3 * 10^24 (Sorenson-Webster 2015)."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        y = pow(b, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n):
+    """A nontrivial factor of the composite n by Pollard's rho (Brent's
+    cycle search, one gcd per RHO_BATCH steps); ValueError once RHO_BUDGET
+    steps are spent."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, acc, d = 2, 1, 1, 1
+        while d == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                k += RHO_BATCH
+                d = math.gcd(acc, n)
+            steps += 2 * r
+            if steps > RHO_BUDGET:
+                raise ValueError(f"cannot factor {n} within {RHO_BUDGET} "
+                                 "steps of Pollard's rho")
+            r *= 2
+        if d == n:      # the batch overshot: replay it one gcd per step
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(abs(x - ys), n)
+        if d != n:
+            return d
+
+
 def _prime_factors(n):
+    """Distinct prime factors of n, ascending: trial division up to
+    TRIAL_DIVISION_BOUND, then Miller-Rabin and Pollard's rho on what is
+    left.  Raises ValueError when rho runs out of steps."""
     out = []
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < TRIAL_DIVISION_BOUND ** 2 or _is_probable_prime(m):
+            out.append(m)
+        else:
+            f = _rho_factor(m)
+            stack += [f, m // f]
+    return sorted(set(out))
+
+
+def _clmod(a, f, n):
+    """a mod f over GF(2), both packed as ints; f has degree n."""
+    while a.bit_length() > n:
+        a ^= f << (a.bit_length() - 1 - n)
+    return a
+
+
+def _clgcd(a, b):
+    """gcd over GF(2) of two packed polynomials."""
+    while b:
+        a, b = b, _clmod(a, b, b.bit_length() - 1)
+    return a
+
+
+def _rabin_gf2(code, n):
+    """Rabin test for p = 2 on the packed code of f (degree n >= 2): one
+    run of n carry-less squarings of x mod f gives every x^(2^k) the test
+    needs.  Squaring spreads bit i to bit 2i, i.e. interleaves zeros into
+    the binary digits."""
+    wanted = {n // r for r in _prime_factors(n)}
+    t, frob = 2, {}
+    for k in range(1, n + 1):
+        t = _clmod(int("0".join(bin(t)[2:]), 2), code, n)
+        if k in wanted:
+            frob[k] = t
+    if t != 2:
+        return False
+    return all(_clgcd(code, h ^ 2) == 1 for h in frob.values())
 
 
 def is_irreducible(f, p):
@@ -122,6 +226,15 @@ def is_irreducible(f, p):
         return True
     if f[0] == 0:  # x divides f
         return False
+    if p == 2:
+        return _rabin_gf2(_code_of(f, 2), n)
+    return _rabin_tuples(f, p)
+
+
+def _rabin_tuples(f, p):
+    """Rabin test on coefficient tuples, for f with n >= 2 and f(0) != 0;
+    the path for odd p and the reference for the p = 2 path."""
+    n = _pdeg(f)
     x = (0, 1)
     if _frob_power(f, n, p) != _pmod(x, f, p):
         return False
@@ -173,17 +286,6 @@ def canonical_modulus(p, n):
         if is_irreducible(f, p):
             return f
     raise ValueError(f"no irreducible polynomial of degree {n} over GF({p})")
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +508,16 @@ class FieldCtx:
             return np.zeros_like(A)
         E, L = self._tables()
         out = E[(L[A] + self._log[c]) % self._qm1]
-        return np.where(A == 0, 0, out)
+        out[A == 0] = 0                 # the gather made out, so clear in place
+        return out
 
     def pow_vec(self, A, e):
         E, L = self._tables()
         if e == 0:
             return np.ones_like(A)
         out = E[(L[A] * (e % self._qm1)) % self._qm1]
-        return np.where(A == 0, 0, out)
+        out[A == 0] = 0
+        return out
 
     def field_sum_vec(self, A):
         """Field sum of a 1-d array of codes."""
@@ -553,7 +657,7 @@ def build_field(p, n, modulus=None):
     modulus may be a coefficient tuple/list (ascending, monic, degree n) or a
     packed integer code; default is the canonical smallest irreducible.
     """
-    if not _is_prime(p):
+    if not _is_probable_prime(p):
         raise ValueError(f"p={p} is not prime")
     if p >= 1 << 20:
         raise ValueError("characteristic above 2^20 is out of scope")

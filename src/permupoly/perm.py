@@ -14,6 +14,7 @@ import numpy as np
 from .poly import CompositePoly, SparsePoly, evaluate, evaluate_all, eval_sparse
 
 PERM_CHECK_BOUND = 1 << 24
+WITNESS_CHUNK = 1 << 12     # canonical positions per gather in the witness walk
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,32 @@ class PermReport:
         }
 
 
+def _canonical_chunks(ctx, values):
+    """(elements, their values) in canonical order, as pairs of int lists.
+
+    With tables, each chunk of WITNESS_CHUNK generator powers takes its
+    values with one gather and one tolist(); the elements are slices of
+    the scalar exp list, so no int objects are created for them.
+    """
+    if not ctx.has_tables:
+        xs = ctx.elements_in_order()
+        yield xs, (int(values[x]) for x in xs)
+        return
+    E, _ = ctx._tables()
+    yield [0], [int(values[0])]
+    for start in range(0, ctx.q - 1, WITNESS_CHUNK):
+        stop = start + WITNESS_CHUNK
+        yield ctx._exp[start:stop], values[E[start:stop]].tolist()
+
+
 def _first_collision(ctx, values):
     """First x2 in canonical order whose value repeats an earlier x1."""
     seen = {}
-    for x in ctx.elements_in_order():
-        v = int(values[x])
-        if v in seen:
-            return (seen[v], x)
-        seen[v] = x
+    for xs, vs in _canonical_chunks(ctx, values):
+        for x, v in zip(xs, vs):
+            if v in seen:
+                return (seen[v], x)
+            seen[v] = x
     return None
 
 

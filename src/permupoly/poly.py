@@ -99,10 +99,17 @@ def evaluate(ctx, f, x):
 
 def _sum_terms(ctx, X, terms):
     """Sum of c * T^e over (c, T, e) value arrays; the first term starts the
-    sum, so the empty sum is zeros like X."""
+    sum, so the empty sum is zeros like X.  A term calls only the kernels it
+    needs: e = 0 is the constant c (0^0 = 1), e = 1 takes T as it is, and
+    c = 1 is not scaled."""
     acc = None
     for c, T, e in terms:
-        v = ctx.scale_vec(c, ctx.pow_vec(T, e))
+        if e == 0:
+            v = np.full_like(X, c)
+        else:
+            v = T if e == 1 else ctx.pow_vec(T, e)
+            if c != 1:
+                v = ctx.scale_vec(c, v)
         acc = v if acc is None else ctx.add_vec(acc, v)
     return np.zeros_like(X) if acc is None else acc
 

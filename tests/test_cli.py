@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from permupoly import field
 from permupoly.cli import main
 from permupoly.families import ELEMENT_PARAMS, INT_PARAMS, SCHEMA
 
@@ -177,6 +178,17 @@ def test_field_info_cli(capsys):
     assert code == 0
     assert "q = 625" in out
     assert "0x273" in out
+
+
+def test_field_info_large_char2(capsys, monkeypatch):
+    # q - 1 = 2^61 - 1 is prime; trial division alone would take minutes
+    code, out, _ = run(capsys, "field-info", "--field", "2^61")
+    assert code == 0
+    assert "q = 2305843009213693952" in out and "log tables: no" in out
+    # q - 1 = 2^67 - 1 needs Pollard's rho; out of steps, the CLI exits 2
+    monkeypatch.setattr(field, "RHO_BUDGET", 1 << 8)
+    code, _, err = run(capsys, "field-info", "--field", "2^67")
+    assert code == 2 and "cannot factor 147573952589676412927" in err
 
 
 def test_field_descriptor_with_modulus(capsys):

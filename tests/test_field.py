@@ -1,11 +1,14 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
 from permupoly import (ReducibleModulusError, build_field, canonical_modulus,
-                       parse_field_descriptor)
-from permupoly.field import _code_of, _generator_powers, _pmod, _trim
+                       is_irreducible, parse_field_descriptor)
+from permupoly import field
+from permupoly.field import (_code_of, _digits_of, _generator_powers,
+                             _prime_factors, _pmod, _rabin_tuples, _trim)
 
 
 def brute_is_irreducible(f, p):
@@ -96,6 +99,11 @@ def test_nonprime_p_rejected():
         build_field(4, 2)
     with pytest.raises(ValueError):
         build_field(9, 1)
+    # a huge prime p is rejected as out of scope at once, not trial-divided
+    with pytest.raises(ValueError, match="out of scope"):
+        build_field(10 ** 24 + 7, 1)
+    with pytest.raises(ValueError, match="not prime"):
+        build_field(1048583 * 1048589, 1)
 
 
 def test_bad_modulus_shape():
@@ -406,3 +414,64 @@ def test_no_table_field():
         assert ctx.frobenius(t, 3) == t
     # packed-code formatting still round-trips
     assert ctx.parse_element(ctx.format_element(12345)) == 12345
+
+
+def test_rabin_gf2_matches_tuple_path():
+    """The packed-int test for p = 2 against the tuple path, on every monic
+    polynomial of degree 1..11 (4,094 codes), and the per-degree counts
+    against Gauss's formula."""
+    mobius = {1: 1, 2: -1, 3: -1, 5: -1, 6: 1, 7: -1, 10: 1, 11: -1}
+    for n in range(1, 12):
+        count = 0
+        for code in range(1 << n, 1 << (n + 1)):
+            f = _digits_of(code, 2, n + 1)
+            want = n == 1 or (f[0] != 0 and _rabin_tuples(f, 2))
+            got = is_irreducible(f, 2)
+            assert got == want, hex(code)
+            count += got
+        gauss = sum(mobius.get(d, 0) * 2 ** (n // d)
+                    for d in range(1, n + 1) if n % d == 0) // n
+        assert count == gauss, n
+
+
+def trial_division_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_prime_factors_match_trial_division():
+    rng = random.Random(61)
+    cases = [rng.randrange(2, 1 << 32) for _ in range(50)]
+    cases += [(1 << 20) + 7, 1048583 * 1048589, 2 ** 31 - 1, 4294967291, 1, 2]
+    for n in cases:
+        assert _prime_factors(n) == trial_division_factors(n), n
+
+
+def test_prime_factors_above_trial_division():
+    # 2^61 - 1 is prime; 2^67 - 1 = 193707721 * 761838257287 needs rho
+    assert _prime_factors(2 ** 61 - 1) == [2 ** 61 - 1]
+    assert _prime_factors(2 ** 67 - 1) == [193707721, 761838257287]
+    assert _prime_factors(6 * (2 ** 67 - 1)) == [2, 3, 193707721, 761838257287]
+
+
+def test_prime_factors_rho_budget(monkeypatch):
+    monkeypatch.setattr(field, "RHO_BUDGET", 1 << 8)
+    with pytest.raises(ValueError, match="cannot factor"):
+        _prime_factors(1099511627791 * 1099511627831)       # two primes near 2^40
+
+
+@pytest.mark.parametrize("n", [61, 67])
+def test_large_char2_field_builds(n):
+    t0 = time.perf_counter()
+    ctx = build_field(2, n)
+    assert time.perf_counter() - t0 < 5
+    assert not ctx.has_tables
+    assert ctx.pow(ctx.generator, ctx.q - 1) == 1
+    for r in _prime_factors(ctx.q - 1):
+        assert ctx.pow(ctx.generator, (ctx.q - 1) // r) != 1

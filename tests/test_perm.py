@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
-from permupoly import (SparsePoly, build_field, evaluate, is_permutation,
-                       is_complete_permutation, lemma1_check,
+from permupoly import (SparsePoly, build_field, evaluate, evaluate_all,
+                       is_permutation, is_complete_permutation, lemma1_check,
                        lemma1_polynomial, monomial_pp_check, mu_d_roots,
                        parse_poly)
+from permupoly import field
 
 
 def test_identity_is_permutation(gf64):
@@ -100,3 +103,56 @@ def test_perm_guard():
     big = build_field(2, 25)
     with pytest.raises(ValueError, match="2\\^24"):
         is_permutation(big, parse_poly(big, "x"))
+
+
+def dict_walk_witness(ctx, values):
+    """Reference witness walk: one dict pass over elements_in_order()."""
+    seen = {}
+    for x in ctx.elements_in_order():
+        v = int(values[x])
+        if v in seen:
+            return (seen[v], x)
+        seen[v] = x
+    return None
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4)])
+def test_witness_matches_dict_walk(p, n):
+    ctx = build_field(p, n)
+    rng = random.Random(f"witness:{p}^{n}")
+    checked = 0
+    while checked < 30:
+        pairs = [(rng.randrange(1, ctx.q), rng.randrange(1, ctx.q))
+                 for _ in range(rng.randint(1, 3))]
+        f = parse_poly(ctx, " + ".join(f"{ctx.format_element(c)}*x^{e}"
+                                       for e, c in pairs))
+        rep = is_permutation(ctx, f)
+        if rep.permutation:
+            continue
+        assert rep.witness == dict_walk_witness(ctx, evaluate_all(ctx, f))
+        checked += 1
+
+
+def test_witness_past_first_chunk():
+    # q - 1 = 3 * 43 * 127: x^3 first repeats at g^((q-1)/3), position 5,462
+    ctx = build_field(2, 14)
+    f = parse_poly(ctx, "x^3")
+    want = (1, ctx.gen_pow((ctx.q - 1) // 3))
+    assert is_permutation(ctx, f).witness == want
+    assert dict_walk_witness(ctx, evaluate_all(ctx, f)) == want
+
+
+def test_witness_without_tables(monkeypatch):
+    texts = ["x^3", "x^2 + g^5*x", "(x^4 + x + g^7)^33 + g^200*x", "x^6 + g^3*x^2"]
+    tabled = build_field(2, 10)
+    monkeypatch.setattr(field, "LOG_TABLE_BOUND", 1 << 9)
+    bare = build_field(2, 10)
+    assert tabled.has_tables and not bare.has_tables
+    assert bare.generator == tabled.generator
+    for text in texts:
+        # same modulus and generator, so one parse serves both fields
+        f = parse_poly(tabled, text)
+        got = is_permutation(bare, f)
+        assert not got.permutation
+        assert got.witness == is_permutation(tabled, f).witness
+        assert got.witness == dict_walk_witness(bare, evaluate_all(bare, f))

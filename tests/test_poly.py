@@ -5,7 +5,7 @@ import pytest
 from permupoly import (CompositePoly, PolyParseError, SparsePoly, build_field,
                        evaluate, evaluate_all, parse_poly, reduce_mod_field,
                        to_text)
-from permupoly.poly import load_poly_file
+from permupoly.poly import X_TERMS, load_poly_file
 
 
 def test_parse_identity(gf64):
@@ -146,3 +146,42 @@ def test_poly_file(tmp_path, gf64):
     polys = load_poly_file(gf64, str(path))
     assert len(polys) == 2
     assert polys[0] == parse_poly(gf64, "x")
+
+
+def random_base(ctx, rng):
+    """x, a nonzero constant, the zero polynomial, x - a (zero at a), or a
+    sparse sum whose exponents may pass q."""
+    kind = rng.choice(("x", "constant", "zero", "root", "sparse"))
+    if kind == "x":
+        return SparsePoly(X_TERMS)
+    if kind == "constant":
+        return SparsePoly.make(ctx, [(0, rng.randrange(1, ctx.q))])
+    if kind == "zero":
+        return SparsePoly(())
+    if kind == "root":
+        return SparsePoly.make(ctx, [(1, 1), (0, ctx.neg(rng.randrange(ctx.q)))])
+    return SparsePoly.make(ctx, [(rng.randrange(3 * ctx.q), rng.randrange(1, ctx.q))
+                                 for _ in range(rng.randint(1, 4))])
+
+
+def random_exponent(ctx, rng):
+    qm1 = ctx.q - 1
+    return rng.choice((0, 1, -1, -rng.randrange(2, 3 * ctx.q), rng.randrange(2, ctx.q),
+                       qm1 * rng.randrange(1, 4), rng.randrange(ctx.q, 1 << 62)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4), (7, 2)])
+def test_evaluate_all_differential(p, n):
+    """evaluate_all against scalar evaluate on random composite polynomials
+    covering e in {0, 1, negative, large}, c in {1, other}, and bases that
+    are x, constant, zero, vanishing somewhere, or sparse."""
+    ctx = build_field(p, n)
+    rng = random.Random(f"differential:{p}^{n}")
+    for _ in range(40):
+        terms = tuple((rng.choice((1, 1, rng.randrange(ctx.q))), random_base(ctx, rng),
+                       random_exponent(ctx, rng)) for _ in range(rng.randint(1, 4)))
+        f = CompositePoly(terms)
+        assert evaluate_all(ctx, f).tolist() == [evaluate(ctx, f, a) for a in range(ctx.q)], \
+            to_text(ctx, f)
+        sp = random_base(ctx, rng)
+        assert evaluate_all(ctx, sp).tolist() == [evaluate(ctx, sp, a) for a in range(ctx.q)]
