@@ -22,6 +22,12 @@ RHO_BATCH = 128             # rho steps per gcd
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+def bound_text(bound):
+    """A size bound as messages print it: 2^k for a power of two."""
+    k = bound.bit_length() - 1
+    return f"2^{k}" if bound == 1 << k else str(bound)
+
+
 class ReducibleModulusError(ValueError):
     """Raised when a supplied modulus splits; carries one nontrivial factor."""
 
@@ -438,7 +444,7 @@ class FieldCtx:
             raise ValueError("0 has no discrete logarithm")
         if self._log is not None:
             return self._log[a]
-        raise ValueError("field has no log tables (q > 2^20)")
+        raise ValueError(f"field has no log tables (q > {bound_text(LOG_TABLE_BOUND)})")
 
     def gen_pow(self, k):
         """Code of generator^k."""
@@ -474,7 +480,8 @@ class FieldCtx:
 
     def _tables(self):
         if self._E is None:
-            raise ValueError("vector arithmetic needs log tables (q <= 2^20)")
+            raise ValueError("vector arithmetic needs log tables "
+                             f"(q <= {bound_text(LOG_TABLE_BOUND)})")
         return self._E, self._L
 
     def add_vec(self, A, B):

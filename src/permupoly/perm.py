@@ -6,15 +6,18 @@ code.  Witnesses are reported in canonical enumeration order (0 first,
 then ascending generator powers) and re-checked before emission.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .field import bound_text
 from .poly import CompositePoly, SparsePoly, evaluate, evaluate_all, eval_sparse
 
 PERM_CHECK_BOUND = 1 << 24
-WITNESS_CHUNK = 1 << 12     # canonical positions per gather in the witness walk
+WITNESS_CHUNK = 1 << 12     # positions after 0 the witness search walks with a dict;
+                            # numpy chunks after them start at this size and double
 
 
 @dataclass(frozen=True)
@@ -39,47 +42,73 @@ class PermReport:
         }
 
 
-def _canonical_chunks(ctx, values):
-    """(elements, their values) in canonical order, as pairs of int lists.
-
-    With tables, each chunk of WITNESS_CHUNK generator powers takes its
-    values with one gather and one tolist(); the elements are slices of
-    the scalar exp list, so no int objects are created for them.
-    """
-    if not ctx.has_tables:
-        xs = ctx.elements_in_order()
-        yield xs, (int(values[x]) for x in xs)
-        return
-    E, _ = ctx._tables()
-    yield [0], [int(values[0])]
-    for start in range(0, ctx.q - 1, WITNESS_CHUNK):
-        stop = start + WITNESS_CHUNK
-        yield ctx._exp[start:stop], values[E[start:stop]].tolist()
-
-
-def _first_collision(ctx, values):
-    """First x2 in canonical order whose value repeats an earlier x1."""
+def _dict_walk(xs, vs):
+    """First (x1, x2) of xs whose values vs repeat, by one dict pass."""
     seen = {}
-    for xs, vs in _canonical_chunks(ctx, values):
-        for x, v in zip(xs, vs):
-            if v in seen:
-                return (seen[v], x)
-            seen[v] = x
+    for x, v in zip(xs, vs):
+        if v in seen:
+            return (seen[v], x)
+        seen[v] = x
     return None
 
 
-def is_permutation(ctx, f):
-    """Exhaustive permutation check with a verified collision witness."""
+def _first_collision(ctx, values):
+    """First x2 in canonical order whose value repeats an earlier x1.
+
+    With tables, the first WITNESS_CHUNK + 1 positions (0, then g^0, g^1,
+    ...) go through a dict, which finds early witnesses at no set-up cost.
+    Later positions are searched in numpy chunks that double in size:
+    first[v] holds the least position seen so far with value v, so after
+    np.minimum.at the first position of a chunk above first[its value] is
+    the least repeating position, and first[its value] is where that value
+    first occurred: the pair the dict walk would return.
+    """
+    if not ctx.has_tables:
+        xs = ctx.elements_in_order()
+        return _dict_walk(xs, (int(values[x]) for x in xs))
+    E, _ = ctx._tables()
+    head = values[E[:WITNESS_CHUNK]]
+    witness = _dict_walk(itertools.chain([0], ctx._exp[:WITNESS_CHUNK]),
+                         itertools.chain([int(values[0])], head.tolist()))
+    if witness is not None:
+        return witness
+    first = np.full(ctx.q, ctx.q, dtype=np.int64)
+    first[values[0]] = 0
+    first[head] = np.arange(1, len(head) + 1)      # distinct: the walk found none
+    lo, size = len(head) + 1, WITNESS_CHUNK
+    while lo < ctx.q:
+        hi = min(lo + size, ctx.q)
+        v = values[E[lo - 1:hi - 1]]
+        pos = np.arange(lo, hi)
+        np.minimum.at(first, v, pos)
+        repeats = np.flatnonzero(first[v] < pos)
+        if repeats.size:
+            j = repeats[0]
+            x1 = int(first[v[j]])
+            return (ctx.gen_pow(x1 - 1) if x1 else 0, ctx.gen_pow(lo + j - 1))
+        lo, size = hi, 2 * size
+    return None
+
+
+def _values(ctx, f):
+    """evaluate_all(ctx, f), for q within the exhaustive check's bound."""
     if ctx.q > PERM_CHECK_BOUND:
         raise ValueError(f"exhaustive permutation check is limited to "
-                         f"q <= 2^24 (got q={ctx.q})")
-    values = evaluate_all(ctx, f)
+                         f"q <= {bound_text(PERM_CHECK_BOUND)} (got q={ctx.q})")
+    return evaluate_all(ctx, f)
+
+
+def _report(ctx, f, values):
+    """The verdict on f from its values, each side checked a second way: a
+    full image by a scatter independent of the count, a witness by scalar
+    re-evaluation."""
     counts = np.bincount(values, minlength=ctx.q)
     image_size = int(np.count_nonzero(counts))
     if image_size == ctx.q:
-        # re-verify the positive verdict: the sorted image must be 0..q-1
-        if not np.array_equal(np.sort(values), np.arange(ctx.q, dtype=values.dtype)):
-            raise AssertionError("occupancy count and sorted image disagree")
+        hit = np.zeros(ctx.q, dtype=bool)
+        hit[values] = True
+        if not hit.all():
+            raise AssertionError("occupancy count and image scatter disagree")
         return PermReport(True, None, image_size)
     x1, x2 = _first_collision(ctx, values)
     if evaluate(ctx, f, x1) != evaluate(ctx, f, x2) or x1 == x2:
@@ -87,10 +116,24 @@ def is_permutation(ctx, f):
     return PermReport(False, (x1, x2), image_size)
 
 
+def is_permutation(ctx, f):
+    """Exhaustive permutation check with a verified collision witness."""
+    return _report(ctx, f, _values(ctx, f))
+
+
 def is_complete_permutation(ctx, f):
-    """complete = yes iff both f and f + x are permutations."""
-    rep = is_permutation(ctx, f)
-    rep_shift = is_permutation(ctx, f.plus_x())
+    """complete = yes iff both f and f + x are permutations.
+
+    f is evaluated once; the values of f + x are its values plus x.
+    """
+    values = _values(ctx, f)
+    if ctx.has_tables:
+        shifted = ctx.add_vec(values, np.arange(ctx.q, dtype=values.dtype))
+    else:
+        shifted = np.array([ctx.add(int(v), x) for x, v in enumerate(values)],
+                           dtype=np.int64)
+    rep = _report(ctx, f, values)
+    rep_shift = _report(ctx, f.plus_x(), shifted)
     return replace(rep, complete=rep.permutation and rep_shift.permutation)
 
 

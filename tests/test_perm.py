@@ -1,12 +1,15 @@
+import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from permupoly import (SparsePoly, build_field, evaluate, evaluate_all,
                        is_permutation, is_complete_permutation, lemma1_check,
                        lemma1_polynomial, monomial_pp_check, mu_d_roots,
                        parse_poly)
-from permupoly import field
+from permupoly import field, perm
 
 
 def test_identity_is_permutation(gf64):
@@ -156,3 +159,108 @@ def test_witness_without_tables(monkeypatch):
         assert not got.permutation
         assert got.witness == is_permutation(tabled, f).witness
         assert got.witness == dict_walk_witness(bare, evaluate_all(bare, f))
+
+
+def _random_poly(ctx, rng):
+    """A random sum of 1-3 monomials c*x^e with c != 0 and 0 < e < q."""
+    pairs = [(rng.randrange(1, ctx.q), rng.randrange(1, ctx.q))
+             for _ in range(rng.randint(1, 3))]
+    return parse_poly(ctx, " + ".join(f"{ctx.format_element(c)}*x^{e}"
+                                      for e, c in pairs))
+
+
+def _random_non_pps(ctx, rng, count):
+    out = []
+    while len(out) < count:
+        f = _random_poly(ctx, rng)
+        if not is_permutation(ctx, f).permutation:
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4)])
+def test_witness_search_chunk_boundaries(monkeypatch, p, n, chunk):
+    # small chunks put most witnesses in the numpy search, across many
+    # chunk boundaries; x^2 - g^j*x first repeats f(0) = 0 at g^j
+    ctx = build_field(p, n)
+    rng = random.Random(f"chunks:{p}^{n}")
+    fs = _random_non_pps(ctx, rng, 20)
+    fs += [parse_poly(ctx, f"x^{d}") for d in range(2, 12)
+           if math.gcd(d, ctx.q - 1) > 1]
+    fs += [parse_poly(ctx, f"x^2 - g^{j}*x") for j in (1, 10)]
+    monkeypatch.setattr(perm, "WITNESS_CHUNK", chunk)
+    for f in fs:
+        assert perm._first_collision(ctx, evaluate_all(ctx, f)) == \
+            dict_walk_witness(ctx, evaluate_all(ctx, f))
+    assert is_permutation(ctx, fs[-1]).witness == (0, ctx.gen_pow(10))
+
+
+@pytest.mark.parametrize("p,n,text", [
+    (2, 14, "x^3"), (2, 14, "g^5*x^15 + g^9"), (3, 9, "x^2"), (3, 9, "g^4*x^6 + 1")])
+def test_witness_search_late(p, n, text):
+    ctx = build_field(p, n)
+    f = parse_poly(ctx, text)
+    want = dict_walk_witness(ctx, evaluate_all(ctx, f))
+    assert ctx.elements_in_order().index(want[1]) > perm.WITNESS_CHUNK + 1
+    assert is_permutation(ctx, f).witness == want
+
+
+def test_image_recheck_is_independent(monkeypatch, gf256):
+    # a count that claims a full image for x^3 must trip the scatter re-check
+    f = parse_poly(gf256, "x^3")
+    monkeypatch.setattr(perm.np, "bincount",
+                        lambda values, minlength: np.ones(minlength, dtype=np.int64))
+    with pytest.raises(AssertionError, match="image scatter"):
+        is_permutation(gf256, f)
+
+
+def _two_evaluation_complete(ctx, f):
+    rep = is_permutation(ctx, f)
+    shift = is_permutation(ctx, f.plus_x())
+    return replace(rep, complete=rep.permutation and shift.permutation)
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+def test_complete_check_evaluates_once(monkeypatch, p, n):
+    ctx = build_field(p, n)
+    rng = random.Random(f"complete:{p}^{n}")
+    fs = [parse_poly(ctx, f"g^{rng.randrange(ctx.q - 1)}*x") for _ in range(10)]
+    minus_x = f"{ctx.format_element(ctx.neg(1))}*x"
+    fs += [parse_poly(ctx, text) for text in ("x", minus_x, "0", "x^3 + g*x")]
+    fs += [_random_poly(ctx, rng) for _ in range(30)]
+    want = [_two_evaluation_complete(ctx, f) for f in fs]
+    assert {w.complete for w in want} == {True, False}
+    real, calls = perm.evaluate_all, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(perm, "evaluate_all", counted)
+    for f, w in zip(fs, want):
+        del calls[:]
+        assert is_complete_permutation(ctx, f) == w
+        assert len(calls) == 1
+
+
+def test_complete_check_without_tables(monkeypatch):
+    tabled = build_field(3, 5)
+    monkeypatch.setattr(field, "LOG_TABLE_BOUND", 1 << 7)
+    bare = build_field(3, 5)
+    assert not bare.has_tables
+    for text in ("g^7*x", "g^121*x", "x^3 + g*x", "x^2 + g^5*x"):    # g^121 = -1
+        f = parse_poly(tabled, text)
+        assert is_complete_permutation(bare, f) == _two_evaluation_complete(tabled, f)
+
+
+def test_bound_messages_follow_the_bounds(monkeypatch):
+    monkeypatch.setattr(field, "LOG_TABLE_BOUND", 1 << 9)
+    bare = build_field(2, 10)
+    with pytest.raises(ValueError, match=r"^field has no log tables \(q > 2\^9\)$"):
+        bare.log(1)
+    with pytest.raises(ValueError, match=r"needs log tables \(q <= 2\^9\)$"):
+        bare.mul_vec(np.arange(4), np.arange(4))
+    monkeypatch.setattr(perm, "PERM_CHECK_BOUND", 1000)
+    with pytest.raises(ValueError, match=r"limited to q <= 1000 \(got q=1024\)$"):
+        is_permutation(bare, parse_poly(bare, "x"))
