@@ -3,7 +3,7 @@
 Elements are plain Python ints: the coefficient vector (c_0, ..., c_{n-1})
 over GF(p) is packed as the base-p integer sum(c_i * p^i), so the constant
 term is the least significant digit.  For p = 2 this is the usual bit
-vector.  A FieldCtx owns the modulus, a generator, and (for q <= 2^20)
+vector.  A FieldCtx owns the modulus, a generator, and (for q <= 2^24)
 discrete-log tables; all operations are pure and the context is immutable
 after construction, so it can be shared freely across workers.
 """
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-LOG_TABLE_BOUND = 1 << 20
+TABLE_BOUND = 1 << 24       # largest q with log tables, and so with an exhaustive check
 TABLE_WALK = 64             # generator powers the table build takes by scalar multiply
 TABLE_BLOCK = 1 << 12       # generator powers per matrix step of the table build
 TRIAL_DIVISION_BOUND = 1 << 20  # _prime_factors trial-divides up to here
@@ -312,11 +312,11 @@ class FieldCtx:
         self.modulus_code = _code_of(modulus, p)
         self.generator = 1
         self._qm1 = self.q - 1
-        self._exp = None                            # exp[i] = code of g^i, or None
-        self._log = None                            # log[code] = i, log[0] = -1
-        self._E = None                              # _exp as an int64 array
-        self._L = None                              # _log as an int64 array, L[0] = 0
+        self._E = None                              # E[i] = code of g^i, int64, or None
+        self._L = None                              # L[code] = i, int64, L[0] = 0
         self._Z = None                              # odd p: Z[i] = log(1 + g^i)
+        self._exp = None                            # memoryview(E): scalar reads give int
+        self._log = None                            # memoryview(L)
         self._mod_int = self.modulus_code if p == 2 else None
         self._as_solver = None                      # lazy, used by circle.solve_quadratic
 
@@ -324,7 +324,7 @@ class FieldCtx:
 
     @property
     def has_tables(self):
-        return self._exp is not None
+        return self._E is not None
 
     def _build_tables(self):
         """exp/log tables (and the Zech table for odd p) from the generator."""
@@ -335,14 +335,13 @@ class FieldCtx:
         if (self._mul_notable(int(E[-1]), self.generator) != 1
                 or np.count_nonzero(L < 0) != 1):
             raise ValueError("generator does not have full multiplicative order")
-        self._exp = E.tolist()
-        self._log = L.tolist()
         if p != 2:
             # 1 + c only changes the constant digit of c, wrapping p-1 to 0;
             # Z[(q-1)/2] = -1 because 1 + g^((q-1)/2) = 1 + (-1) = 0
             self._Z = L[E + np.where(E % p == p - 1, 1 - p, 1)]
-        L[0] = 0        # zero operands gather log 0; every vector op masks them
+        L[0] = 0        # zero operands read log 0; every op masks or guards them
         self._E, self._L = E, L
+        self._exp, self._log = memoryview(E), memoryview(L)
 
     # -- scalar arithmetic --------------------------------------------------
 
@@ -444,7 +443,7 @@ class FieldCtx:
             raise ValueError("0 has no discrete logarithm")
         if self._log is not None:
             return self._log[a]
-        raise ValueError(f"field has no log tables (q > {bound_text(LOG_TABLE_BOUND)})")
+        raise ValueError(f"field has no log tables (q > {bound_text(TABLE_BOUND)})")
 
     def gen_pow(self, k):
         """Code of generator^k."""
@@ -457,7 +456,7 @@ class FieldCtx:
     def elements_in_order(self):
         """Canonical enumeration: 0 first, then ascending generator powers."""
         if self._exp is not None:
-            return [0] + list(self._exp)
+            return [0, *self._exp]
         out = [0]
         x = 1
         for _ in range(self._qm1):
@@ -481,7 +480,7 @@ class FieldCtx:
     def _tables(self):
         if self._E is None:
             raise ValueError("vector arithmetic needs log tables "
-                             f"(q <= {bound_text(LOG_TABLE_BOUND)})")
+                             f"(q <= {bound_text(TABLE_BOUND)})")
         return self._E, self._L
 
     def add_vec(self, A, B):
@@ -597,7 +596,7 @@ def _generator_powers(ctx, walk=TABLE_WALK, block=TABLE_BLOCK):
     columns, and each later block is the matrix of g^block times the block
     before, mod p.
 
-    Entries stay below n * p^2 <= q^2 <= 2^40, so float64 matmul and
+    Entries stay below n * p^2 <= q^2 <= 2^48, so float64 matmul and
     floor division are exact, and only one block of digits is live at a time.
     """
     p, n, qm1 = ctx.p, ctx.n, ctx.q - 1
@@ -693,8 +692,9 @@ def build_field(p, n, modulus=None):
 
     q = p ** n
     ctx = FieldCtx(p, n, mod)
-    ctx.generator = _find_generator(ctx._mul_notable, q, range(1, q))
-    if q <= LOG_TABLE_BOUND:
+    # for n >= 2, codes below p are GF(p) elements, of order dividing p - 1 < q - 1
+    ctx.generator = _find_generator(ctx._mul_notable, q, range(p if n > 1 else 1, q))
+    if q <= TABLE_BOUND:
         ctx._build_tables()
     return ctx
 

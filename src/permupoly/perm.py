@@ -12,10 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import bound_text
+from . import field
 from .poly import CompositePoly, SparsePoly, evaluate, evaluate_all, eval_sparse
 
-PERM_CHECK_BOUND = 1 << 24
 WITNESS_CHUNK = 1 << 12     # positions after 0 the witness search walks with a dict;
                             # numpy chunks after them start at this size and double
 
@@ -55,17 +54,14 @@ def _dict_walk(xs, vs):
 def _first_collision(ctx, values):
     """First x2 in canonical order whose value repeats an earlier x1.
 
-    With tables, the first WITNESS_CHUNK + 1 positions (0, then g^0, g^1,
-    ...) go through a dict, which finds early witnesses at no set-up cost.
+    The first WITNESS_CHUNK + 1 positions (0, then g^0, g^1, ...) go
+    through a dict, which finds early witnesses at no set-up cost.
     Later positions are searched in numpy chunks that double in size:
     first[v] holds the least position seen so far with value v, so after
     np.minimum.at the first position of a chunk above first[its value] is
     the least repeating position, and first[its value] is where that value
     first occurred: the pair the dict walk would return.
     """
-    if not ctx.has_tables:
-        xs = ctx.elements_in_order()
-        return _dict_walk(xs, (int(values[x]) for x in xs))
     E, _ = ctx._tables()
     head = values[E[:WITNESS_CHUNK]]
     witness = _dict_walk(itertools.chain([0], ctx._exp[:WITNESS_CHUNK]),
@@ -90,11 +86,16 @@ def _first_collision(ctx, values):
     return None
 
 
+def check_size(q):
+    """Refuse a field of order q above the table bound, before any work."""
+    if q > field.TABLE_BOUND:
+        raise ValueError(f"exhaustive permutation check is limited to "
+                         f"q <= {field.bound_text(field.TABLE_BOUND)} (got q={q})")
+
+
 def _values(ctx, f):
     """evaluate_all(ctx, f), for q within the exhaustive check's bound."""
-    if ctx.q > PERM_CHECK_BOUND:
-        raise ValueError(f"exhaustive permutation check is limited to "
-                         f"q <= {bound_text(PERM_CHECK_BOUND)} (got q={ctx.q})")
+    check_size(ctx.q)
     return evaluate_all(ctx, f)
 
 
@@ -127,11 +128,7 @@ def is_complete_permutation(ctx, f):
     f is evaluated once; the values of f + x are its values plus x.
     """
     values = _values(ctx, f)
-    if ctx.has_tables:
-        shifted = ctx.add_vec(values, np.arange(ctx.q, dtype=values.dtype))
-    else:
-        shifted = np.array([ctx.add(int(v), x) for x, v in enumerate(values)],
-                           dtype=np.int64)
+    shifted = ctx.add_vec(values, np.arange(ctx.q, dtype=values.dtype))
     rep = _report(ctx, f, values)
     rep_shift = _report(ctx, f.plus_x(), shifted)
     return replace(rep, complete=rep.permutation and rep_shift.permutation)

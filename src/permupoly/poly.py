@@ -121,10 +121,9 @@ def eval_sparse_all(ctx, sp, X):
 def evaluate_all(ctx, f):
     """Values of f on every field element, as an array indexed by element code.
 
-    Falls back to scalar evaluation when the field has no log tables.
+    Needs log tables; without them it raises before any work, even for f = x.
     """
-    if not ctx.has_tables:
-        return np.array([evaluate(ctx, f, x) for x in range(ctx.q)], dtype=np.int64)
+    ctx._tables()
     X = np.arange(ctx.q, dtype=np.int64)
     if isinstance(f, SparsePoly):
         return eval_sparse_all(ctx, f, X)

@@ -28,8 +28,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .families import (ELEMENT_PARAMS, INT_PARAMS, NECESSITY_CLAUSE,
-                       check_enumeration_guard, field_for_family, iter_family)
-from .perm import is_permutation
+                       check_enumeration_guard, family_field_shape,
+                       field_for_family, iter_family)
+from .perm import check_size, is_permutation
 
 DISCREPANCY_CAP = 100
 ROW_CAP = 1 << 17
@@ -154,6 +155,8 @@ def _scan(family, field_params, mode, modulus, ctx, workers, row_cap,
     if mode == "necessity" and family not in NECESSITY_CLAUSE:
         raise ValueError(f"necessity scans exist only for "
                          f"{sorted(NECESSITY_CLAUSE)}; got {family}")
+    p, n = family_field_shape(family, field_params)
+    check_size(p ** n)
     if ctx is None:
         ctx = field_for_family(family, field_params, modulus)
     cond_name = NECESSITY_CLAUSE[family] if mode == "necessity" else None

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from permupoly import field
+from permupoly import field, scan
 from permupoly.cli import main
 from permupoly.families import ELEMENT_PARAMS, INT_PARAMS, SCHEMA
 
@@ -257,3 +257,25 @@ def test_vacuous_pass_warns(capsys):
     code, out, err = run(capsys, "scan", "--family", "P6", "--k", "2",
                          "--mode", "necessity")
     assert code == 0 and "PASS" in out and err == ""
+
+
+def test_scan_above_table_bound_fails_fast(capsys, monkeypatch):
+    # GF(32^5) = GF(2^25): 2^26 - 2 tuples pass the enumeration guard, and the
+    # field must be refused before it is built
+    def no_build(*args):
+        raise AssertionError("field built above the table bound")
+
+    monkeypatch.setattr(scan, "field_for_family", no_build)
+    code, out, err = run(capsys, "scan", "--family", "P4", "--q", "32", "--e", "5")
+    assert (code, out) == (2, "")
+    assert err == ("error: exhaustive permutation check is limited to "
+                   "q <= 2^24 (got q=33554432)\n")
+
+
+def test_check_pp_above_old_table_bound(capsys):
+    # 2^21 - 1 = 7^2 * 127 * 337, so x^7 first repeats at g^((q-1)/7)
+    code, out, err = run(capsys, "check-pp", "--field", "2^21", "--poly", "x^7",
+                         "--assert", "not-pp")
+    assert (code, err) == (0, "")
+    assert out == ("not-permutation\n"
+                   "witness: f(1) = f(g^299593), image size 299594/2097152\n")

@@ -285,7 +285,7 @@ def test_table_build_matches_scalar_walk(p, n, modulus):
     ctx = build_field(p, n, modulus)
     gen, exp, log = walked_tables(ctx)
     assert ctx.generator == gen
-    assert ctx._exp == exp and ctx._log == log
+    assert ctx._exp.tolist() == exp and ctx._log.tolist()[1:] == log[1:]
     a, b = exp[-1], exp[len(exp) // 2]
     for value in (ctx.generator, ctx._exp[-1], ctx._log[a], ctx.mul(a, b),
                   ctx.pow(a, 5), ctx.inv(a), ctx.log(b), ctx.gen_pow(3),
@@ -320,25 +320,34 @@ def test_zech_add_vec_exhaustive(p, n):
     assert ctx.neg_vec(np.array(codes)).tolist() == [ctx.neg(a) for a in codes]
 
 
-def test_zech_add_vec_random_gf5_8():
-    ctx = build_field(5, 8)
-    rng = random.Random(20261018)
+def _check_add_vec_random(ctx, rng):
+    """add_vec against scalar add on 10^4 seeded pairs, with zero operands
+    and b = -a among them; returns the operand arrays."""
     a = [rng.randrange(ctx.q) for _ in range(10 ** 4)]
     b = [rng.randrange(ctx.q) for _ in range(10 ** 4)]
     a[:100] = [0] * 100                     # zero left operand
     b[100:200] = [0] * 100                  # zero right operand
     a[200:250] = b[200:250] = [0] * 50      # both zero
     b[250:750] = [ctx.neg(x) for x in a[250:750]]   # b = -a
+    want = [ctx.add(x, y) for x, y in zip(a, b)]
+    assert all(type(w) is int for w in want)
     A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    assert ctx.add_vec(A, B).tolist() == [ctx.add(x, y) for x, y in zip(a, b)]
-    assert ctx.neg_vec(A).tolist() == [ctx.neg(x) for x in a]
+    assert ctx.add_vec(A, B).tolist() == want
+    return A, B
+
+
+def test_zech_add_vec_random_gf5_8():
+    ctx = build_field(5, 8)
+    A, B = _check_add_vec_random(ctx, random.Random(20261018))
+    assert ctx.neg_vec(A).tolist() == [ctx.neg(x) for x in A.tolist()]
     assert not ctx.add_vec(A[250:750], B[250:750]).any()
 
 
-def test_table_bound_boundary():
-    assert build_field(2, 20).has_tables
+def test_table_bound_boundary(monkeypatch):
+    assert field.TABLE_BOUND == 1 << 24
+    assert build_field(2, 21).has_tables and build_field(3, 13).has_tables
     A = np.arange(8, dtype=np.int64)
-    for ctx in (build_field(2, 21), build_field(3, 13)):
+    for ctx in (build_field(2, 25), build_field(3, 16)):
         assert not ctx.has_tables
         ops = [lambda: ctx.mul_vec(A, A), lambda: ctx.scale_vec(3, A),
                lambda: ctx.pow_vec(A, 3)]
@@ -347,6 +356,39 @@ def test_table_bound_boundary():
         for op in ops:
             with pytest.raises(ValueError, match="vector arithmetic needs log tables"):
                 op()
+    # q equal to the bound gets tables, the next power of p does not
+    monkeypatch.setattr(field, "TABLE_BOUND", 1 << 10)
+    assert build_field(2, 10).has_tables and not build_field(2, 11).has_tables
+
+
+@pytest.fixture(scope="module", params=[(2, 20), (2, 21), (3, 13)],
+                ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def big_field(request):
+    return build_field(*request.param)
+
+
+def test_tables_match_scalar_arithmetic_near_old_bound(big_field):
+    ctx, rng = big_field, random.Random(f"scalar:{big_field.q}")
+    qm1, g = ctx.q - 1, ctx.generator
+    for i in rng.sample(range(qm1), 200):
+        assert int(ctx._E[(i + 1) % qm1]) == ctx._mul_notable(int(ctx._E[i]), g)
+    for _ in range(100):
+        a, b = rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
+        k = rng.randrange(-(1 << 50), 1 << 50)
+        results = (ctx.mul(a, b), ctx.pow(a, k), ctx.pow(a, 1 << 41), ctx.inv(a),
+                   ctx.gen_pow(k), ctx.log(a))
+        assert all(type(r) is int for r in results)
+        prod, power, big_power, inverse, gen_power, log = results
+        assert prod == ctx._mul_notable(a, b)
+        assert power == _scalar_pow(ctx, a, k % qm1)
+        assert big_power == _scalar_pow(ctx, a, (1 << 41) % qm1)
+        assert ctx._mul_notable(a, inverse) == 1
+        assert gen_power == _scalar_pow(ctx, g, k % qm1)
+        assert 0 <= log < qm1 and _scalar_pow(ctx, g, log) == a
+
+
+def test_zech_add_vec_random_gf3_13():
+    _check_add_vec_random(build_field(3, 13), random.Random(20261019))
 
 
 def test_table_pow_agrees_with_square_and_multiply(gf256):
@@ -401,7 +443,7 @@ def test_field_descriptor():
 
 
 def test_no_table_field():
-    ctx = build_field(2, 21)
+    ctx = build_field(2, 27)
     assert not ctx.has_tables
     rng = random.Random(99)
     for _ in range(50):

@@ -145,22 +145,6 @@ def test_witness_past_first_chunk():
     assert dict_walk_witness(ctx, evaluate_all(ctx, f)) == want
 
 
-def test_witness_without_tables(monkeypatch):
-    texts = ["x^3", "x^2 + g^5*x", "(x^4 + x + g^7)^33 + g^200*x", "x^6 + g^3*x^2"]
-    tabled = build_field(2, 10)
-    monkeypatch.setattr(field, "LOG_TABLE_BOUND", 1 << 9)
-    bare = build_field(2, 10)
-    assert tabled.has_tables and not bare.has_tables
-    assert bare.generator == tabled.generator
-    for text in texts:
-        # same modulus and generator, so one parse serves both fields
-        f = parse_poly(tabled, text)
-        got = is_permutation(bare, f)
-        assert not got.permutation
-        assert got.witness == is_permutation(tabled, f).witness
-        assert got.witness == dict_walk_witness(bare, evaluate_all(bare, f))
-
-
 def _random_poly(ctx, rng):
     """A random sum of 1-3 monomials c*x^e with c != 0 and 0 < e < q."""
     pairs = [(rng.randrange(1, ctx.q), rng.randrange(1, ctx.q))
@@ -244,23 +228,18 @@ def test_complete_check_evaluates_once(monkeypatch, p, n):
         assert len(calls) == 1
 
 
-def test_complete_check_without_tables(monkeypatch):
-    tabled = build_field(3, 5)
-    monkeypatch.setattr(field, "LOG_TABLE_BOUND", 1 << 7)
-    bare = build_field(3, 5)
-    assert not bare.has_tables
-    for text in ("g^7*x", "g^121*x", "x^3 + g*x", "x^2 + g^5*x"):    # g^121 = -1
-        f = parse_poly(tabled, text)
-        assert is_complete_permutation(bare, f) == _two_evaluation_complete(tabled, f)
-
-
 def test_bound_messages_follow_the_bounds(monkeypatch):
-    monkeypatch.setattr(field, "LOG_TABLE_BOUND", 1 << 9)
+    monkeypatch.setattr(field, "TABLE_BOUND", 1 << 9)
     bare = build_field(2, 10)
     with pytest.raises(ValueError, match=r"^field has no log tables \(q > 2\^9\)$"):
         bare.log(1)
     with pytest.raises(ValueError, match=r"needs log tables \(q <= 2\^9\)$"):
         bare.mul_vec(np.arange(4), np.arange(4))
-    monkeypatch.setattr(perm, "PERM_CHECK_BOUND", 1000)
-    with pytest.raises(ValueError, match=r"limited to q <= 1000 \(got q=1024\)$"):
+    # x needs no kernel on p = 2, so evaluate_all must refuse up front
+    with pytest.raises(ValueError, match=r"needs log tables \(q <= 2\^9\)$"):
+        evaluate_all(bare, parse_poly(bare, "x"))
+    with pytest.raises(ValueError, match=r"limited to q <= 2\^9 \(got q=1024\)$"):
         is_permutation(bare, parse_poly(bare, "x"))
+    monkeypatch.setattr(field, "TABLE_BOUND", 1000)
+    with pytest.raises(ValueError, match=r"limited to q <= 1000 \(got q=1024\)$"):
+        is_complete_permutation(bare, parse_poly(bare, "x"))
