@@ -7,6 +7,9 @@ subfield GF(2^m)* and lambda on the circle.
 
 from dataclasses import dataclass
 
+from .perm import mu_d_roots
+
+
 def _require_even(ctx):
     if ctx.p != 2 or ctx.n % 2 != 0:
         raise ValueError(f"unit circle needs GF(2^(2m)); got {ctx!r}")
@@ -24,10 +27,9 @@ class CircleDecomposition:
 
 
 def unit_circle(ctx):
-    """All 2^m + 1 elements of norm one, by direct filtering."""
-    m = _require_even(ctx)
-    e = (1 << m) + 1
-    return [x for x in ctx.elements_in_order() if x != 0 and ctx.pow(x, e) == 1]
+    """All 2^m + 1 elements of norm one: the (2^m+1)-th roots of unity
+    g^((2^m-1)i), listed by i."""
+    return mu_d_roots(ctx, (1 << _require_even(ctx)) + 1)
 
 
 def decompose(ctx, x):

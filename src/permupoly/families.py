@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import build_field
+from .field import _prime_factors, build_field
 from .poly import CompositePoly, SparsePoly, evaluate, evaluate_all
 
 # clause tested by scan_necessity, per family
@@ -111,34 +111,33 @@ class FamilyParams:
 
 
 def _prime_power(q):
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"q={q} is not a prime power")
-    p = None
-    for d in range(2, q + 1):
-        if q % d == 0:
-            p = d
-            break
-    j = 0
+    p, j = primes[0], 0
     while q > 1:
-        if q % p != 0:
-            raise ValueError(f"q={q} is not a prime power")
         q //= p
         j += 1
     return p, j
 
 
 def family_field_shape(family, fp):
-    """(p, n) of the ambient field from the integer field parameters."""
+    """(p, n) of the ambient field from the integer parameters fp, each of
+    which must be a positive int."""
+    if family not in SCHEMA:
+        raise ValueError(f"unknown family {family!r}")
+    for name, v in fp.items():
+        if not isinstance(v, int) or v < 1:
+            raise ValueError(
+                f"{family} parameter {name} must be a positive integer")
     if family == "P1":
         return 2, fp["m"] * fp["k"]
     if family in ("P2", "P3", "P5"):
         return 2, 2 * fp["m"]
     if family == "P6":
         return 2, 2 * fp["k"]
-    if family == "P4":
-        p, j = _prime_power(fp["q"])
-        return p, j * fp["e"]
-    raise ValueError(f"unknown family {family!r}")
+    p, j = _prime_power(fp["q"])
+    return p, j * fp["e"]
 
 
 def field_for_family(family, field_params, modulus=None):
@@ -159,10 +158,6 @@ def validate_params(params):
                 raise ValueError(f"{fam} requires parameter {name}")
         elif name not in required and name not in optional:
             raise ValueError(f"{fam} does not take parameter {name}")
-    for name in required:
-        v = getattr(params, name)
-        if name in INT_PARAMS and (not isinstance(v, int) or v < 1):
-            raise ValueError(f"{fam} parameter {name} must be a positive integer")
     ctx = params.ctx
     ints = params.given(INT_PARAMS)
     p, n = family_field_shape(fam, ints)
@@ -351,11 +346,9 @@ def check_enumeration_guard(family, field_params):
     return size
 
 
-def iter_family(family, field_params, ctx=None, modulus=None, start=0,
-                stop=None):
-    """Yield (params, poly, checklist) over the parameter domain, or over
-    its tuples start..stop-1 in enumeration order; tuples outside that
-    range are never constructed."""
+def iter_family(family, field_params, ctx=None, modulus=None):
+    """Yield (params, poly, checklist) over the parameter domain in
+    enumeration order."""
     check_enumeration_guard(family, field_params)
     if ctx is None:
         ctx = field_for_family(family, field_params, modulus)
@@ -363,9 +356,8 @@ def iter_family(family, field_params, ctx=None, modulus=None, start=0,
     names = SCHEMA[family][1]
     if family == "P1":
         exp_c = _p1_c_exponent(field_params["m"], ctx.q)
-    combos = itertools.product(
-        *_domains(family, field_params, ctx.elements_in_order()))
-    for combo in itertools.islice(combos, start, stop):
+    for combo in itertools.product(
+            *_domains(family, field_params, ctx.elements_in_order())):
         values = dict(zip(names, combo))
         if family == "P1":
             values["c"] = ctx.pow(values["b"], exp_c)
@@ -395,8 +387,7 @@ def enumerate_params(family, field_params, filt="satisfying", ctx=None,
 # ---------------------------------------------------------------------------
 
 def _brute_preimages(ctx, poly, d):
-    values = evaluate_all(ctx, poly)
-    return [x for x in range(ctx.q) if int(values[x]) == d]
+    return np.flatnonzero(evaluate_all(ctx, poly) == d).tolist()
 
 
 def proof_identity_check(family, params, d=None):
@@ -476,7 +467,7 @@ def proof_identity_check(family, params, d=None):
             (0, b_exp),
         ])
         cubic_vals = evaluate_all(ctx, cubic)
-        roots = {t for t in range(ctx.q) if int(cubic_vals[t]) == 0}
+        roots = set(np.flatnonzero(cubic_vals == 0).tolist())
         double_root = ctx.pow(bprime, 1 << (m - 1))
         third_root = ctx.mul(b_exp, bprime)
         roots_named = roots <= {double_root, third_root}

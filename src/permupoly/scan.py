@@ -13,18 +13,16 @@ ELEMENT_PARAMS.  One verdict loop serves both modes: `_condition` says
 whether a tuple is skipped, and otherwise whether the tested condition
 holds, which is the expected permutation verdict.
 
-Scans are deterministic: the parameter space is split into contiguous
-index ranges, each range builds only its own tuples and returns a partial
-ScanReport, partials are merged in range order, and the result is
-independent of the worker count.  PERMUPOLY_THREADS bounds workers.
+Scans are deterministic: one sequential pass on the calling thread walks
+the parameter space in enumeration order and tallies straight into the
+report.  A necessity scan above the sample threshold first counts the
+condition-violating tuples, then keeps every stride-th of them by a
+running ordinal.
 """
 
 import csv
-import itertools
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .families import (ELEMENT_PARAMS, INT_PARAMS, NECESSITY_CLAUSE,
@@ -101,23 +99,6 @@ class ScanReport:
         return rep
 
 
-def _workers(workers):
-    if workers is None:
-        workers = int(os.environ.get("PERMUPOLY_THREADS", "1"))
-    return max(1, int(workers))
-
-
-def _slices(total, workers):
-    width = (total + workers - 1) // workers if total else 1
-    out = []
-    lo = 0
-    while lo < total:
-        hi = min(lo + width, total)
-        out.append((lo, hi))
-        lo = hi
-    return out or [(0, 0)]
-
-
 def _discrepancy(ctx, params, expected, observed, witness):
     d = {"params": params.to_dict(), "expected": expected, "observed": observed}
     if witness is not None:
@@ -149,8 +130,7 @@ def _condition(checklist, cond_name):
     return cond_name is None or checklist.entry(cond_name).ok
 
 
-def _scan(family, field_params, mode, modulus, ctx, workers, row_cap,
-          sample_threshold):
+def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
     domain = check_enumeration_guard(family, field_params)
     if mode == "necessity" and family not in NECESSITY_CLAUSE:
         raise ValueError(f"necessity scans exist only for "
@@ -160,62 +140,18 @@ def _scan(family, field_params, mode, modulus, ctx, workers, row_cap,
     if ctx is None:
         ctx = field_for_family(family, field_params, modulus)
     cond_name = NECESSITY_CLAUSE[family] if mode == "necessity" else None
-    workers = _workers(workers)
     start = time.perf_counter()
-    slices = _slices(domain, workers)
-
-    def tuples(lo, hi):
-        return iter_family(family, field_params, ctx, start=lo, stop=hi)
 
     # Sampling pre-pass: necessity scans evaluate the condition-violating
     # side exhaustively up to the threshold; above it, a deterministic
-    # stride sample is taken over global violating ordinals.
+    # stride sample is taken over violating ordinals.
     stride = 1
-    viol_prefix = [0] * len(slices)
     if mode == "necessity" and domain > sample_threshold:
-        viol_counts = [sum(_condition(checklist, cond_name) is False
-                           for _, _, checklist in tuples(lo, hi))
-                       for lo, hi in slices]
-        total_viol = sum(viol_counts)
+        total_viol = sum(
+            _condition(checklist, cond_name) is False
+            for _, _, checklist in iter_family(family, field_params, ctx))
         if total_viol > sample_threshold:
             stride = -(-total_viol // sample_threshold)  # ceil
-        viol_prefix = list(itertools.accumulate(viol_counts, initial=0))
-
-    def run_slice(idx):
-        part = ScanReport(family, mode, {}, {})
-        viol_ordinal = viol_prefix[idx]
-        for params, poly, checklist in tuples(*slices[idx]):
-            cond = _condition(checklist, cond_name)
-            if cond is None:
-                continue
-            if not cond:
-                take = (viol_ordinal % stride) == 0
-                viol_ordinal += 1
-                if not take:
-                    continue
-            part.total += 1
-            rep = is_permutation(ctx, poly)
-            part.satisfying += cond
-            if rep.permutation:
-                if cond:
-                    part.pp_true_satisfying += 1
-                else:
-                    part.pp_true_violating += 1
-            if rep.permutation != cond:
-                expected = "permutation" if cond else "not-permutation"
-                part.discrepancies.append(_discrepancy(
-                    ctx, params, expected, rep.verdict,
-                    rep.witness if cond else None))
-            part.rows.append(_row(params, checklist.satisfied(),
-                                  None if cond_name is None else cond,
-                                  rep.permutation))
-        return part
-
-    if workers == 1 or len(slices) == 1:
-        parts = [run_slice(i) for i in range(len(slices))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_slice, range(len(slices))))
 
     report = ScanReport(
         family=family, mode=mode,
@@ -223,13 +159,33 @@ def _scan(family, field_params, mode, modulus, ctx, workers, row_cap,
         field_params=dict(field_params),
         sampled=stride > 1,
     )
-    for part in parts:
-        report.total += part.total
-        report.satisfying += part.satisfying
-        report.pp_true_satisfying += part.pp_true_satisfying
-        report.pp_true_violating += part.pp_true_violating
-        report.discrepancies.extend(part.discrepancies)
-        report.rows.extend(part.rows)
+    viol_ordinal = 0
+    for params, poly, checklist in iter_family(family, field_params, ctx):
+        cond = _condition(checklist, cond_name)
+        if cond is None:
+            continue
+        if not cond:
+            take = (viol_ordinal % stride) == 0
+            viol_ordinal += 1
+            if not take:
+                continue
+        report.total += 1
+        rep = is_permutation(ctx, poly)
+        report.satisfying += cond
+        if rep.permutation:
+            if cond:
+                report.pp_true_satisfying += 1
+            else:
+                report.pp_true_violating += 1
+        if rep.permutation != cond:
+            expected = "permutation" if cond else "not-permutation"
+            report.discrepancies.append(_discrepancy(
+                ctx, params, expected, rep.verdict,
+                rep.witness if cond else None))
+        report.rows.append(_row(params, checklist.satisfied(),
+                                None if cond_name is None else cond,
+                                rep.permutation))
+
     if mode == "sufficiency":
         report.total = domain   # every tuple counts, evaluated or not
     else:
@@ -246,17 +202,23 @@ def _scan(family, field_params, mode, modulus, ctx, workers, row_cap,
 
 def scan_sufficiency(family, field_params, modulus=None, ctx=None,
                      workers=None, row_cap=ROW_CAP):
-    """Check that every hypothesis-satisfying tuple yields a permutation."""
-    return _scan(family, field_params, "sufficiency", modulus, ctx, workers,
-                 row_cap, SAMPLE_THRESHOLD)
+    """Check that every hypothesis-satisfying tuple yields a permutation.
+
+    workers is accepted and selects nothing: scans run on the calling
+    thread."""
+    return _scan(family, field_params, "sufficiency", modulus, ctx, row_cap,
+                 SAMPLE_THRESHOLD)
 
 
 def scan_necessity(family, field_params, modulus=None, ctx=None,
                    workers=None, row_cap=ROW_CAP,
                    sample_threshold=SAMPLE_THRESHOLD):
-    """Confusion-matrix test of the designated condition (P5, P6 only)."""
-    return _scan(family, field_params, "necessity", modulus, ctx, workers,
-                 row_cap, sample_threshold)
+    """Confusion-matrix test of the designated condition (P5, P6 only).
+
+    workers is accepted and selects nothing: scans run on the calling
+    thread."""
+    return _scan(family, field_params, "necessity", modulus, ctx, row_cap,
+                 sample_threshold)
 
 
 # ---------------------------------------------------------------------------

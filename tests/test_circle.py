@@ -1,7 +1,7 @@
 import pytest
 
-from permupoly import (build_field, decompose, half_trace, mu_d_roots,
-                       solve_quadratic, sqrt_char2, unit_circle)
+from permupoly import (build_field, decompose, half_trace, solve_quadratic,
+                       sqrt_char2, unit_circle)
 
 
 def test_unit_circle_sizes(gf16, gf256):
@@ -18,10 +18,15 @@ def test_unit_circle_requires_even_degree(gf8, gf625):
         unit_circle(gf625)
 
 
+def _circle_by_filter(ctx):
+    # the definition: every nonzero x with x^(2^m+1) = 1, in element order
+    e = (1 << (ctx.n // 2)) + 1
+    return [x for x in ctx.elements_in_order() if x != 0 and ctx.pow(x, e) == 1]
+
+
 def test_unit_circle_equals_root_group(gf16, gf64, gf256):
-    for ctx in (gf16, gf64, gf256):
-        m = ctx.n // 2
-        assert set(unit_circle(ctx)) == set(mu_d_roots(ctx, (1 << m) + 1))
+    for ctx in (gf16, gf64, gf256, build_field(2, 10)):
+        assert unit_circle(ctx) == _circle_by_filter(ctx)
 
 
 def test_decompose_trivial(gf16):

@@ -259,6 +259,23 @@ def test_vacuous_pass_warns(capsys):
     assert code == 0 and "PASS" in out and err == ""
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--family", "P4", "--q", "6", "--e", "2"], "q=6 is not a prime power"),
+    (["--family", "P1", "--m", "-1", "--k", "3"],
+     "P1 parameter m must be a positive integer"),
+    (["--family", "P6", "--k", "0"], "P6 parameter k must be a positive integer"),
+])
+def test_scan_rejects_bad_field_parameter(capsys, flags, message):
+    code, out, err = run(capsys, "scan", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_scan_k1_is_vacuous(capsys):
+    code, out, err = run(capsys, "scan", "--family", "P6", "--k", "1")
+    assert code == 0 and out.endswith("PASS\n")
+    assert err == "warning: no tuple satisfies the hypotheses; PASS is vacuous\n"
+
+
 def test_scan_above_table_bound_fails_fast(capsys, monkeypatch):
     # GF(32^5) = GF(2^25): 2^26 - 2 tuples pass the enumeration guard, and the
     # field must be refused before it is built

@@ -177,6 +177,30 @@ def test_slices_build_only_their_tuples(monkeypatch):
     assert len(calls) == 63 * 64
 
 
+def test_scan_runs_on_calling_thread(monkeypatch):
+    import threading
+
+    import permupoly.families as families_mod
+    import permupoly.scan as scan_mod
+
+    threads = set()
+
+    def recording(fn):
+        def wrapper(*args):
+            threads.add(threading.get_ident())
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(scan_mod, "is_permutation",
+                        recording(scan_mod.is_permutation))
+    monkeypatch.setattr(families_mod, "make_family",
+                        recording(families_mod.make_family))
+    monkeypatch.setenv("PERMUPOLY_THREADS", "3")
+    scan_necessity("P6", {"k": 3}, workers=3)
+    scan_necessity("P6", {"k": 2}, sample_threshold=50)
+    assert threads == {threading.get_ident()}
+
+
 # sha256 of report_json (duration_ms zeroed) and of the CSV report, pinned
 # from the implementation before the scan loop was folded into one
 PINNED_SCANS = [
