@@ -11,7 +11,7 @@ import json
 import shlex
 import sys
 
-from .circle import decompose, solve_quadratic, sqrt_char2, unit_circle
+from .circle import decompose, solve_quadratic, sqrt_char2
 from .families import (ELEMENT_PARAMS, FAMILY_IDS, INT_PARAMS, SCHEMA,
                        FamilyParams, field_for_family, make_family)
 from .field import build_field, parse_field_descriptor
@@ -180,7 +180,7 @@ def cmd_decompose(args):
     d = decompose(ctx, x)
     print(f"{ctx.format_element(x)} = u * lambda with "
           f"u = {ctx.format_element(d.u)}, lambda = {ctx.format_element(d.lam)}")
-    print(f"unit circle size: {len(unit_circle(ctx))}")
+    print(f"unit circle size: {(1 << ctx.n // 2) + 1}")     # |mu_(2^m+1)|, q = 2^(2m)
     _write_out(args, d.to_dict(ctx))
     return EXIT_OK
 

@@ -525,6 +525,30 @@ class FieldCtx:
         out[A == 0] = 0
         return out
 
+    def monomial_vec(self, c, e, logs=None):
+        """c * x^e (c != 0, e != 0) on all q points, element 0 at position 0.
+
+        logs holds the points' discrete logs (L itself in code order); None
+        means canonical order, where position i + 1 holds g^i.  The result
+        is one gather of the exp table at log c + e * log x: for canonical
+        order an arithmetic progression, and for e = 1 a rotation.
+        """
+        E, _ = self._tables()
+        qm1 = self._qm1
+        k, e = self._log[c], e % qm1
+        if logs is not None:
+            out = E[(logs * e + k) % qm1]
+        elif e == 0:                    # x^(q-1) = 1 for x != 0
+            out = np.full(self.q, E[k])
+        elif e == 1:
+            out = np.empty_like(E, shape=self.q)
+            out[1:qm1 - k + 1] = E[k:]
+            out[qm1 - k + 1:] = E[:k]
+        else:                           # position 0 takes k - e, and is cleared
+            out = E[np.arange(k - e, k + e * qm1, e) % qm1]
+        out[0] = 0
+        return out
+
     def field_sum_vec(self, A):
         """Field sum of a 1-d array of codes."""
         if self.p == 2:

@@ -1,9 +1,12 @@
 """Permutation and complete-permutation checks by exhaustive evaluation.
 
-The designated oracle at desk scale is the full image scan: evaluate on
-every field element into an occupancy array indexed by packed element
-code.  Witnesses are reported in canonical enumeration order (0 first,
-then ascending generator powers) and re-checked before emission.
+The designated oracle at desk scale is the full image scan: evaluate f on
+every field element in canonical order (0 first, then ascending generator
+powers) and count the values in an occupancy array indexed by packed
+element code.  Position i of the values is the i-th element of that order,
+so the witness search reads them as they are, with no reordering gather.
+Witnesses are the first repeat in canonical order and are re-checked
+before emission.
 """
 
 import itertools
@@ -52,7 +55,8 @@ def _dict_walk(xs, vs):
 
 
 def _first_collision(ctx, values):
-    """First x2 in canonical order whose value repeats an earlier x1.
+    """First x2 in canonical order whose value repeats an earlier x1, from
+    f's values in that order: f(0) at position 0, f(g^i) at position i + 1.
 
     The first WITNESS_CHUNK + 1 positions (0, then g^0, g^1, ...) go
     through a dict, which finds early witnesses at no set-up cost.
@@ -62,19 +66,17 @@ def _first_collision(ctx, values):
     the least repeating position, and first[its value] is where that value
     first occurred: the pair the dict walk would return.
     """
-    E, _ = ctx._tables()
-    head = values[E[:WITNESS_CHUNK]]
+    head = values[:WITNESS_CHUNK + 1]
     witness = _dict_walk(itertools.chain([0], ctx._exp[:WITNESS_CHUNK]),
-                         itertools.chain([int(values[0])], head.tolist()))
+                         head.tolist())
     if witness is not None:
         return witness
     first = np.full(ctx.q, ctx.q, dtype=np.int64)
-    first[values[0]] = 0
-    first[head] = np.arange(1, len(head) + 1)      # distinct: the walk found none
-    lo, size = len(head) + 1, WITNESS_CHUNK
+    first[head] = np.arange(len(head))      # distinct: the walk found none
+    lo, size = len(head), WITNESS_CHUNK
     while lo < ctx.q:
         hi = min(lo + size, ctx.q)
-        v = values[E[lo - 1:hi - 1]]
+        v = values[lo:hi]
         pos = np.arange(lo, hi)
         np.minimum.at(first, v, pos)
         repeats = np.flatnonzero(first[v] < pos)
@@ -94,9 +96,9 @@ def check_size(q):
 
 
 def _values(ctx, f):
-    """evaluate_all(ctx, f), for q within the exhaustive check's bound."""
+    """f's values in canonical order, for q within the exhaustive check's bound."""
     check_size(ctx.q)
-    return evaluate_all(ctx, f)
+    return evaluate_all(ctx, f, "canonical")
 
 
 def _report(ctx, f, values):
@@ -125,10 +127,11 @@ def is_permutation(ctx, f):
 def is_complete_permutation(ctx, f):
     """complete = yes iff both f and f + x are permutations.
 
-    f is evaluated once; the values of f + x are its values plus x.
+    f is evaluated once; the values of f + x are its values plus the
+    points in canonical order, 0 then the exp table.
     """
     values = _values(ctx, f)
-    shifted = ctx.add_vec(values, np.arange(ctx.q, dtype=values.dtype))
+    shifted = ctx.add_vec(values, np.concatenate(([0], ctx._tables()[0])))
     rep = _report(ctx, f, values)
     rep_shift = _report(ctx, f.plus_x(), shifted)
     return replace(rep, complete=rep.permutation and rep_shift.permutation)

@@ -97,15 +97,21 @@ def evaluate(ctx, f, x):
     return acc
 
 
-def _sum_terms(ctx, X, terms):
-    """Sum of c * T^e over (c, T, e) value arrays; the first term starts the
-    sum, so the empty sum is zeros like X.  A term calls only the kernels it
-    needs: e = 0 is the constant c (0^0 = 1), e = 1 takes T as it is, and
-    c = 1 is not scaled."""
+def _sum_terms(ctx, X, logs, terms):
+    """Sum of c * T^e over (c, T, e) terms at the points X, whose logs are
+    logs (see FieldCtx.monomial_vec); T is a value array, or None for the
+    base x.  The first term starts the sum, so the empty sum is zeros like
+    X.  A term calls only the kernels it needs: e = 0 is the constant c
+    (0^0 = 1), c * x^e is one monomial_vec gather and x itself is X, while
+    other bases take T as it is for e = 1 and skip the scale for c = 1."""
     acc = None
     for c, T, e in terms:
+        if c == 0:
+            continue
         if e == 0:
             v = np.full_like(X, c)
+        elif T is None:
+            v = X if c == 1 and e == 1 else ctx.monomial_vec(c, e, logs)
         else:
             v = T if e == 1 else ctx.pow_vec(T, e)
             if c != 1:
@@ -114,21 +120,28 @@ def _sum_terms(ctx, X, terms):
     return np.zeros_like(X) if acc is None else acc
 
 
-def eval_sparse_all(ctx, sp, X):
-    return _sum_terms(ctx, X, ((c, X, e) for e, c in sp.terms))
+def eval_sparse_all(ctx, sp, X, logs):
+    return _sum_terms(ctx, X, logs, ((c, None, e) for e, c in sp.terms))
 
 
-def evaluate_all(ctx, f):
-    """Values of f on every field element, as an array indexed by element code.
+def evaluate_all(ctx, f, order="code"):
+    """Values of f on every field element, as an array in the given order:
+    "code" indexes by element code; "canonical" puts f(0) at position 0 and
+    f(g^i) at position i + 1.
 
     Needs log tables; without them it raises before any work, even for f = x.
     """
-    ctx._tables()
-    X = np.arange(ctx.q, dtype=np.int64)
+    E, L = ctx._tables()
+    if order == "code":
+        X, logs = np.arange(ctx.q, dtype=np.int64), L
+    elif order == "canonical":
+        X, logs = np.concatenate(([0], E)), None
+    else:
+        raise ValueError(f"unknown evaluation order {order!r}")
     if isinstance(f, SparsePoly):
-        return eval_sparse_all(ctx, f, X)
-    return _sum_terms(ctx, X, (
-        (c, X if base.is_x() else eval_sparse_all(ctx, base, X), e)
+        return eval_sparse_all(ctx, f, X, logs)
+    return _sum_terms(ctx, X, logs, (
+        (c, None if base.is_x() else eval_sparse_all(ctx, base, X, logs), e)
         for c, base, e in f.terms))
 
 
@@ -144,17 +157,16 @@ def reduce_mod_field(ctx, f):
         raise ValueError(
             f"reduce_mod_field is limited to q <= {REDUCE_FIELD_BOUND} "
             f"(got q={q}); use pointwise evaluation instead")
-    values = evaluate_all(ctx, f)
+    values = evaluate_all(ctx, f, "canonical")
     pairs = []
     if values[0] != 0:
         pairs.append((0, int(values[0])))
     if q > 1:
         E, L = ctx._tables()
         qm1 = q - 1
-        # values at g^i in exponent order, with zeros masked out
-        vg = values[E]
-        nz = np.nonzero(vg)[0]
-        logv = L[vg[nz]]
+        # values at g^i are values[i + 1]; zeros masked out
+        nz = np.nonzero(values[1:])[0]
+        logv = L[values[nz + 1]]
         for j in range(1, qm1):
             cj = ctx.neg(ctx.field_sum_vec(E[(logv - j * nz) % qm1]))
             if cj:

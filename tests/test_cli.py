@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from permupoly import field, scan
+from permupoly import circle, field, scan
 from permupoly.cli import main
 from permupoly.families import ELEMENT_PARAMS, INT_PARAMS, SCHEMA
 
@@ -159,6 +159,18 @@ def test_decompose_cli(capsys):
     assert code == 0
     assert "u = g^10" in out and "lambda = g^12" in out
     assert "unit circle size: 5" in out
+
+
+def test_decompose_cli_counts_the_circle_without_listing_it(capsys, monkeypatch):
+    # above the table bound each circle element costs a scalar pow
+    def refuse(*args):
+        raise AssertionError("decompose listed the unit circle")
+
+    monkeypatch.setattr(circle, "unit_circle", refuse)
+    monkeypatch.setattr(circle, "mu_d_roots", refuse)
+    code, out, _ = run(capsys, "decompose", "--field", "2^32", "--x", "g^7")
+    assert code == 0
+    assert "unit circle size: 65537" in out.splitlines()
 
 
 def test_solve_quad_cli(capsys):

@@ -175,7 +175,7 @@ def test_witness_search_chunk_boundaries(monkeypatch, p, n, chunk):
     fs += [parse_poly(ctx, f"x^2 - g^{j}*x") for j in (1, 10)]
     monkeypatch.setattr(perm, "WITNESS_CHUNK", chunk)
     for f in fs:
-        assert perm._first_collision(ctx, evaluate_all(ctx, f)) == \
+        assert perm._first_collision(ctx, evaluate_all(ctx, f, "canonical")) == \
             dict_walk_witness(ctx, evaluate_all(ctx, f))
     assert is_permutation(ctx, fs[-1]).witness == (0, ctx.gen_pow(10))
 

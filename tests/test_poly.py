@@ -76,6 +76,8 @@ def test_evaluate_all_matches_scalar(gf64, gf625):
     vals2 = evaluate_all(gf625, f2)
     for a in range(625):
         assert int(vals2[a]) == evaluate(gf625, f2, a)
+    with pytest.raises(ValueError, match="unknown evaluation order 'exp'"):
+        evaluate_all(gf64, f1, "exp")
 
 
 def test_reduce_fermat(gf16):
@@ -172,16 +174,19 @@ def random_exponent(ctx, rng):
 
 @pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4), (7, 2)])
 def test_evaluate_all_differential(p, n):
-    """evaluate_all against scalar evaluate on random composite polynomials
-    covering e in {0, 1, negative, large}, c in {1, other}, and bases that
-    are x, constant, zero, vanishing somewhere, or sparse."""
+    """evaluate_all in code and in canonical order against scalar evaluate
+    on random composite polynomials covering e in {0, 1, negative, large},
+    c in {1, other}, and bases that are x, constant, zero, vanishing
+    somewhere, or sparse."""
     ctx = build_field(p, n)
     rng = random.Random(f"differential:{p}^{n}")
+    points = {"code": range(ctx.q), "canonical": ctx.elements_in_order()}
     for _ in range(40):
         terms = tuple((rng.choice((1, 1, rng.randrange(ctx.q))), random_base(ctx, rng),
                        random_exponent(ctx, rng)) for _ in range(rng.randint(1, 4)))
         f = CompositePoly(terms)
-        assert evaluate_all(ctx, f).tolist() == [evaluate(ctx, f, a) for a in range(ctx.q)], \
-            to_text(ctx, f)
         sp = random_base(ctx, rng)
-        assert evaluate_all(ctx, sp).tolist() == [evaluate(ctx, sp, a) for a in range(ctx.q)]
+        for order, xs in points.items():
+            assert evaluate_all(ctx, f, order).tolist() == \
+                [evaluate(ctx, f, a) for a in xs], (order, to_text(ctx, f))
+            assert evaluate_all(ctx, sp, order).tolist() == [evaluate(ctx, sp, a) for a in xs]
