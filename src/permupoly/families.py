@@ -16,14 +16,14 @@ Fields per family:
   P6 over GF(2^(2k)):    (x^2 + x + delta)^(2^(2k-1)-2^(k-1)) + b*x
 """
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .field import _prime_factors, build_field
-from .poly import CompositePoly, SparsePoly, evaluate, evaluate_all
+from .poly import X_TERMS, CompositePoly, SparsePoly, evaluate, evaluate_all
 
 # clause tested by scan_necessity, per family
 NECESSITY_CLAUSE = {
@@ -100,13 +100,18 @@ class FamilyParams:
 
     def given(self, names):
         """{name: value} for the names in `names` that are set."""
-        return {n: getattr(self, n) for n in names if getattr(self, n) is not None}
+        d = vars(self)
+        return {n: d[n] for n in names if d[n] is not None}
 
     def to_dict(self):
-        fmt = self.ctx.format_element
+        d, fmt = vars(self), self.ctx.format_element
         out = {"family": self.family}
-        out.update(self.given(INT_PARAMS))
-        out.update({k: fmt(v) for k, v in self.given(ELEMENT_PARAMS).items()})
+        for n in INT_PARAMS:
+            if d[n] is not None:
+                out[n] = d[n]
+        for n in ELEMENT_PARAMS:
+            if d[n] is not None:
+                out[n] = fmt(d[n])
         return out
 
 
@@ -145,26 +150,43 @@ def field_for_family(family, field_params, modulus=None):
     return build_field(p, n, modulus)
 
 
+# family -> ((name, required, allowed), ...) over INT_PARAMS + ELEMENT_PARAMS
+_ROLES = {fam: tuple((name, name in field + enum, name in field + enum + opt)
+                     for name in INT_PARAMS + ELEMENT_PARAMS)
+          for fam, (field, enum, opt) in SCHEMA.items()}
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _memo_field_shape(family, *ints):
+    """family_field_shape on the INT_PARAMS values ints (None where unset);
+    typed, so 2.0 or True never reuses the shape of 2 or 1."""
+    return family_field_shape(
+        family, {n: v for n, v in zip(INT_PARAMS, ints) if v is not None})
+
+
 def validate_params(params):
-    fam = params.family
+    d = vars(params)
+    fam = d["family"]
     if fam not in SCHEMA:
         raise ValueError(f"unknown family {fam!r}")
-    field, enumerated, optional = SCHEMA[fam]
-    required = field + enumerated
-    for name in INT_PARAMS + ELEMENT_PARAMS:
-        v = getattr(params, name)
-        if v is None:
-            if name in required:
+    for name, required, allowed in _ROLES[fam]:
+        if d[name] is None:
+            if required:
                 raise ValueError(f"{fam} requires parameter {name}")
-        elif name not in required and name not in optional:
+        elif not allowed:
             raise ValueError(f"{fam} does not take parameter {name}")
-    ctx = params.ctx
-    ints = params.given(INT_PARAMS)
-    p, n = family_field_shape(fam, ints)
+    ctx = d["ctx"]
+    try:
+        p, n = _memo_field_shape(fam, *[d[name] for name in INT_PARAMS])
+    except TypeError:       # an unhashable value, which family_field_shape rejects
+        p, n = family_field_shape(fam, params.given(INT_PARAMS))
     if (ctx.p, ctx.n) != (p, n):
-        raise ValueError(f"{fam} with {ints} lives in GF({p}^{n}), not {ctx!r}")
-    for name, v in params.given(ELEMENT_PARAMS).items():
-        if not isinstance(v, int) or not 0 <= v < ctx.q:
+        raise ValueError(f"{fam} with {params.given(INT_PARAMS)} lives in "
+                         f"GF({p}^{n}), not {ctx!r}")
+    q = ctx.q
+    for name in ELEMENT_PARAMS:
+        v = d[name]
+        if v is not None and (not isinstance(v, int) or not 0 <= v < q):
             raise ValueError(f"element parameter {name}={v!r} is not in {ctx!r}")
     return params
 
@@ -184,6 +206,15 @@ def _fmt(ctx, x):
     return ctx.format_element(x)
 
 
+_X = SparsePoly(X_TERMS)
+
+
+def _inner(*pairs):
+    """The SparsePoly of (exponent, coefficient) pairs given with distinct
+    ascending exponents, as SparsePoly.make builds it: zero terms dropped."""
+    return SparsePoly(tuple(t for t in pairs if t[1]))
+
+
 def _entry_member(ctx, name, value, m, exclude, gating=True):
     """Membership clause: value in GF(p^m) minus an excluded set."""
     ok = ctx.in_subfield(m, value) and value not in exclude
@@ -197,8 +228,7 @@ def make_family(params):
     fails), so scans can probe both sides of every clause.
     """
     validate_params(params)
-    fam, ctx = params.family, params.ctx
-    x = SparsePoly(((1, 1),))
+    fam, ctx, x = params.family, params.ctx, _X
 
     if fam == "P1":
         m, k, b, delta = params.m, params.k, params.b, params.delta
@@ -206,7 +236,7 @@ def make_family(params):
         exp_c = _p1_c_exponent(m, ctx.q)
         derived_c = ctx.pow(b, exp_c)
         c = params.c if params.c is not None else derived_c
-        inner = SparsePoly.make(ctx, [(1, b), (0, delta)])
+        inner = _inner((0, delta), (1, b))
         poly = CompositePoly.make([
             (1, inner, (1 << m) + 1),
             (1, x, 1 << m),
@@ -228,7 +258,7 @@ def make_family(params):
 
     if fam == "P2":
         m, s, b, delta = params.m, params.s, params.b, params.delta
-        inner = SparsePoly.make(ctx, [(1 << m, 1), (1, 1), (0, delta)])
+        inner = _inner((0, delta), (1, 1), (1 << m, 1))
         poly = CompositePoly.make([(1, inner, -s), (b, x, 1)])
         mod = (1 << (2 * m)) - 1
         residue = (((1 << m) + 2) * (-s)) % mod
@@ -285,17 +315,17 @@ def make_family(params):
 
     if fam == "P5":
         m, b, delta = params.m, params.b, params.delta
-        inner = SparsePoly.make(ctx, [(1 << m, 1), (1, 1), (0, delta)])
+        inner = _inner((0, delta), (1, 1), (1 << m, 1))
         exp = (1 << (2 * m - 1)) + (1 << (m - 1))
         poly = CompositePoly.make([(1, inner, exp), (b, x, 1)])
         tr = ctx.relative_trace(m, delta)
-        lhs = ctx.add(ctx.frobenius(b, m), b)
-        rhs = ctx.mul(ctx.frobenius(b, m), b)
+        b_pm = ctx.frobenius(b, m)
+        lhs = ctx.add(b_pm, b)
+        rhs = ctx.mul(b_pm, b)
         checklist = HypothesisChecklist((
             ChecklistEntry("Tr_m^(2m)(delta) != 0", tr != 0,
                            f"trace {_fmt(ctx, tr)}"),
-            ChecklistEntry("b not in F_(2^m)", not ctx.in_subfield(m, b),
-                           f"b={_fmt(ctx, b)}"),
+            ChecklistEntry("b not in F_(2^m)", b_pm != b, f"b={_fmt(ctx, b)}"),
             ChecklistEntry(NECESSITY_CLAUSE["P5"], lhs == rhs,
                            f"b^(2^m)+b={_fmt(ctx, lhs)}, "
                            f"b^(2^m+1)={_fmt(ctx, rhs)}; this is the form the "
@@ -307,7 +337,7 @@ def make_family(params):
     # P6
     k, b, delta = params.k, params.b, params.delta
     n = 2 * k
-    inner = SparsePoly.make(ctx, [(2, 1), (1, 1), (0, delta)])
+    inner = _inner((0, delta), (1, 1), (2, 1))
     exp = (1 << (2 * k - 1)) - (1 << (k - 1))
     poly = CompositePoly.make([(1, inner, exp), (b, x, 1)])
     tr = ctx.relative_trace(1, delta)
@@ -352,18 +382,21 @@ def iter_family(family, field_params, ctx=None, modulus=None):
     check_enumeration_guard(family, field_params)
     if ctx is None:
         ctx = field_for_family(family, field_params, modulus)
-    base = FamilyParams(family=family, ctx=ctx, **field_params)
-    names = SCHEMA[family][1]
+    outer, inner = SCHEMA[family][1]
+    outer_values, inner_values = _domains(family, field_params,
+                                          ctx.elements_in_order())
     if family == "P1":
         exp_c = _p1_c_exponent(field_params["m"], ctx.q)
-    for combo in itertools.product(
-            *_domains(family, field_params, ctx.elements_in_order())):
-        values = dict(zip(names, combo))
-        if family == "P1":
-            values["c"] = ctx.pow(values["b"], exp_c)
-        params = replace(base, **values)
-        poly, checklist = make_family(params)
-        yield params, poly, checklist
+    kwargs = dict(field_params)
+    for u in outer_values:
+        kwargs[outer] = u
+        if family == "P1":          # P1's outer parameter is b
+            kwargs["c"] = ctx.pow(u, exp_c)
+        for v in inner_values:
+            kwargs[inner] = v
+            params = FamilyParams(family, ctx, **kwargs)
+            poly, checklist = make_family(params)
+            yield params, poly, checklist
 
 
 def enumerate_params(family, field_params, filt="satisfying", ctx=None,

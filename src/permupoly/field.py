@@ -4,8 +4,9 @@ Elements are plain Python ints: the coefficient vector (c_0, ..., c_{n-1})
 over GF(p) is packed as the base-p integer sum(c_i * p^i), so the constant
 term is the least significant digit.  For p = 2 this is the usual bit
 vector.  A FieldCtx owns the modulus, a generator, and (for q <= 2^24)
-discrete-log tables; all operations are pure and the context is immutable
-after construction, so it can be shared freely across workers.
+discrete-log tables, which are read-only numpy arrays; all operations are
+pure and the context is immutable after construction, so it can be shared
+freely across workers.
 """
 
 import itertools
@@ -312,7 +313,8 @@ class FieldCtx:
         self.modulus_code = _code_of(modulus, p)
         self.generator = 1
         self._qm1 = self.q - 1
-        self._E = None                              # E[i] = code of g^i, int64, or None
+        self._P = None                              # points 0, g^0, g^1, ...: int64, or None
+        self._E = None                              # E[i] = code of g^i: the view P[1:]
         self._L = None                              # L[code] = i, int64, L[0] = 0
         self._Z = None                              # odd p: Z[i] = log(1 + g^i)
         self._exp = None                            # memoryview(E): scalar reads give int
@@ -327,9 +329,12 @@ class FieldCtx:
         return self._E is not None
 
     def _build_tables(self):
-        """exp/log tables (and the Zech table for odd p) from the generator."""
+        """exp/log tables (and the Zech table for odd p) from the generator,
+        all read-only; the exp table is a view into the canonical points."""
         p, qm1 = self.p, self._qm1
-        E = _generator_powers(self)
+        P = np.empty(self.q, dtype=np.int64)
+        P[0] = 0
+        E = _generator_powers(self, out=P[1:])
         L = np.full(self.q, -1, dtype=np.int64)
         L[E] = np.arange(qm1, dtype=np.int64)
         if (self._mul_notable(int(E[-1]), self.generator) != 1
@@ -340,8 +345,11 @@ class FieldCtx:
             # Z[(q-1)/2] = -1 because 1 + g^((q-1)/2) = 1 + (-1) = 0
             self._Z = L[E + np.where(E % p == p - 1, 1 - p, 1)]
         L[0] = 0        # zero operands read log 0; every op masks or guards them
-        self._E, self._L = E, L
-        self._exp, self._log = memoryview(E), memoryview(L)
+        for table in (P, L, self._Z):
+            if table is not None:
+                table.flags.writeable = False
+        self._P, self._E, self._L = P, P[1:], L
+        self._exp, self._log = memoryview(self._E), memoryview(L)
 
     # -- scalar arithmetic --------------------------------------------------
 
@@ -429,9 +437,19 @@ class FieldCtx:
         return self.pow(x, self.p ** (i % self.n))
 
     def relative_trace(self, m, x):
-        """Trace onto the degree-m subfield: sum of x^(p^(m*i)), i < n/m."""
+        """Trace onto the degree-m subfield: sum of x^(p^(m*i)), i < n/m.
+
+        With tables, each conjugate is an exp-table read: x^(p^m) has log
+        p^m * log x."""
         if self.n % m != 0:
             raise ValueError(f"m={m} does not divide the extension degree {self.n}")
+        if self._log is not None and x != 0:
+            exp, qm1, step = self._exp, self._qm1, self.p ** m
+            k, acc = self._log[x], 0
+            for _ in range(self.n // m):
+                acc = acc ^ exp[k] if self.p == 2 else self.add(acc, exp[k])
+                k = k * step % qm1
+            return acc
         acc, y = x, x
         for _ in range(self.n // m - 1):
             y = self.frobenius(y, m)
@@ -610,8 +628,9 @@ def _digit_matrix(codes, p, n):
             ).astype(np.float64)
 
 
-def _generator_powers(ctx, walk=TABLE_WALK, block=TABLE_BLOCK):
-    """g^0, ..., g^(q-2) as an int64 array, g = ctx.generator.
+def _generator_powers(ctx, walk=TABLE_WALK, block=TABLE_BLOCK, out=None):
+    """g^0, ..., g^(q-2) as an int64 array, g = ctx.generator, written into
+    out when it is given.
 
     Multiplication by a fixed c is GF(p)-linear on digit vectors: its matrix
     has the digits of c * x^j as column j.  The first `walk` powers come from
@@ -645,7 +664,7 @@ def _generator_powers(ctx, walk=TABLE_WALK, block=TABLE_BLOCK):
         D = np.concatenate([D, times(matrix(c), D)], axis=1)
         c = ctx._mul_notable(c, c)
     pw = p ** np.arange(n, dtype=np.float64)
-    exp = np.empty(qm1, dtype=np.int64)
+    exp = np.empty(qm1, dtype=np.int64) if out is None else out
     width = D.shape[1]
     step = matrix(c) if width < qm1 else None
     for start in range(0, qm1, width):

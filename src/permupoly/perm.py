@@ -131,7 +131,7 @@ def is_complete_permutation(ctx, f):
     points in canonical order, 0 then the exp table.
     """
     values = _values(ctx, f)
-    shifted = ctx.add_vec(values, np.concatenate(([0], ctx._tables()[0])))
+    shifted = ctx.add_vec(values, ctx._P)
     rep = _report(ctx, f, values)
     rep_shift = _report(ctx, f.plus_x(), shifted)
     return replace(rep, complete=rep.permutation and rep_shift.permutation)

@@ -102,22 +102,29 @@ def _sum_terms(ctx, X, logs, terms):
     logs (see FieldCtx.monomial_vec); T is a value array, or None for the
     base x.  The first term starts the sum, so the empty sum is zeros like
     X.  A term calls only the kernels it needs: e = 0 is the constant c
-    (0^0 = 1), c * x^e is one monomial_vec gather and x itself is X, while
-    other bases take T as it is for e = 1 and skip the scale for c = 1."""
-    acc = None
+    (0^0 = 1), and the constants fold into one scalar added last; c * x^e
+    is one monomial_vec gather and x itself is X, while other bases take T
+    as it is for e = 1 and skip the scale for c = 1.  The result is X itself
+    only when X is writable; a read-only X (a table) is copied."""
+    acc, const = None, 0
     for c, T, e in terms:
         if c == 0:
             continue
         if e == 0:
-            v = np.full_like(X, c)
-        elif T is None:
+            const = ctx.add(const, c)
+            continue
+        if T is None:
             v = X if c == 1 and e == 1 else ctx.monomial_vec(c, e, logs)
         else:
             v = T if e == 1 else ctx.pow_vec(T, e)
             if c != 1:
                 v = ctx.scale_vec(c, v)
         acc = v if acc is None else ctx.add_vec(acc, v)
-    return np.zeros_like(X) if acc is None else acc
+    if acc is None:
+        return np.full_like(X, const)
+    if const:
+        return ctx.add_vec(acc, const)
+    return X.copy() if acc is X and not X.flags.writeable else acc
 
 
 def eval_sparse_all(ctx, sp, X, logs):
@@ -131,11 +138,11 @@ def evaluate_all(ctx, f, order="code"):
 
     Needs log tables; without them it raises before any work, even for f = x.
     """
-    E, L = ctx._tables()
+    _, L = ctx._tables()
     if order == "code":
         X, logs = np.arange(ctx.q, dtype=np.int64), L
     elif order == "canonical":
-        X, logs = np.concatenate(([0], E)), None
+        X, logs = ctx._P, None
     else:
         raise ValueError(f"unknown evaluation order {order!r}")
     if isinstance(f, SparsePoly):

@@ -122,12 +122,16 @@ def _condition(checklist, cond_name):
     The tested condition is the clause cond_name (necessity scans) or, with
     cond_name None, every gating clause (sufficiency scans).  A tuple is
     skipped when a gating clause other than the condition fails, so False
-    means the other hypotheses hold and the condition does not.
+    means the other hypotheses hold and the condition does not.  Either way
+    the verdict is also whether every gating clause holds.
     """
-    if not all(e.ok for e in checklist.entries
-               if e.gating and e.name != cond_name):
-        return None
-    return cond_name is None or checklist.entry(cond_name).ok
+    held = True
+    for e in checklist.entries:
+        if e.name == cond_name:
+            held = e.ok
+        elif e.gating and not e.ok:
+            return None
+    return held
 
 
 def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
@@ -182,7 +186,7 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
             report.discrepancies.append(_discrepancy(
                 ctx, params, expected, rep.verdict,
                 rep.witness if cond else None))
-        report.rows.append(_row(params, checklist.satisfied(),
+        report.rows.append(_row(params, cond,
                                 None if cond_name is None else cond,
                                 rep.permutation))
 

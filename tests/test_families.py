@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -152,6 +153,33 @@ def test_param_validation(p1_ctx, gf64, gf16):
         make_family(FamilyParams(family="P4", ctx=gf64, q=6, e=2, r=1, a=1))
     with pytest.raises(ValueError, match="prime power"):
         make_family(FamilyParams(family="P4", ctx=gf64, q=1, e=2, r=1, a=1))
+
+
+def test_param_validation_messages(gf64, gf256):
+    def rejects(params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_family(params)
+
+    g64, g256 = repr(gf64), repr(gf256)
+    rejects(params_for("P6", gf256, k=4, b=1), "P6 requires parameter delta")
+    rejects(params_for("P6", gf256, k=4, b=1, delta=0, m=2),
+            "P6 does not take parameter m")
+    rejects(params_for("P6", gf256, k=4, b=256, delta=0),
+            f"element parameter b=256 is not in {g256}")
+    rejects(params_for("P6", gf256, k=4, b=1, delta=1.0),
+            f"element parameter delta=1.0 is not in {g256}")
+    # two shapes of one family back to back: the field shape is memoised
+    # per (family, integer parameters), and a stale shape would let these pass
+    make_family(params_for("P6", gf64, k=3, b=1, delta=0))
+    rejects(params_for("P6", gf64, k=4, b=1, delta=0),
+            f"P6 with {{'k': 4}} lives in GF(2^8), not {g64}")
+    make_family(params_for("P6", gf256, k=4, b=1, delta=0))
+    rejects(params_for("P6", gf256, k=3, b=1, delta=0),
+            f"P6 with {{'k': 3}} lives in GF(2^6), not {g256}")
+    # equal to a memoised 3, but not an int
+    for k in (3.0, [3]):
+        rejects(params_for("P6", gf64, k=k, b=1, delta=0),
+                "P6 parameter k must be a positive integer")
 
 
 # -- linearity of P3 ----------------------------------------------------------

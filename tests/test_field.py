@@ -158,6 +158,29 @@ def test_relative_trace(gf4, gf64, gf256):
         gf64.relative_trace(4, 1)
 
 
+def frobenius_trace(ctx, m, x):
+    """Tr onto GF(p^m) as the sum of x^(p^(m*i)), each conjugate by
+    table-free square-and-multiply."""
+    acc, y = x, x
+    for _ in range(ctx.n // m - 1):
+        y = _scalar_pow(ctx, y, ctx.p ** m)
+        acc = ctx.add(acc, y)
+    return acc
+
+
+@pytest.mark.parametrize("p,n,ms", [(2, 8, (1, 2, 4, 8)), (2, 6, (1, 2, 3)),
+                                    (3, 4, (1, 2))])
+def test_relative_trace_tables_match_frobenius_sum(monkeypatch, p, n, ms):
+    ctx = build_field(p, n)
+    monkeypatch.setattr(field, "TABLE_BOUND", 1)
+    tablefree = build_field(p, n)
+    assert ctx.has_tables and not tablefree.has_tables
+    for m in ms:
+        want = [frobenius_trace(ctx, m, x) for x in range(ctx.q)]
+        assert [ctx.relative_trace(m, x) for x in range(ctx.q)] == want
+        assert [tablefree.relative_trace(m, x) for x in range(ctx.q)] == want
+
+
 def test_subfield_elements(gf64, gf256):
     assert gf64.subfield_elements(1) == [0, 1]
     sub3 = gf64.subfield_elements(3)
@@ -275,7 +298,7 @@ def _irreducible_codes(p, n):
 
 
 TABLE_CASES = ([(p, n, None) for p, n in [(2, 1), (3, 1), (7, 1), (1021, 1), (2, 8),
-                                          (3, 5), (5, 4), (7, 2), (1021, 2)]]
+                                          (3, 5), (5, 4), (7, 2), (251, 2)]]
                + [(2, 6, code) for code in _irreducible_codes(2, 6)]
                + [(3, 4, code) for code in _irreducible_codes(3, 4)[-3:]])
 
@@ -291,6 +314,23 @@ def test_table_build_matches_scalar_walk(p, n, modulus):
                   ctx.pow(a, 5), ctx.inv(a), ctx.log(b), ctx.gen_pow(3),
                   ctx.elements_in_order()[-1]):
         assert type(value) is int
+
+
+def test_table_build_matches_sampled_walk_gf1021_2():
+    # a full scalar walk of these 10^6 elements takes seconds; the blockwise
+    # build is checked over its whole first block (the scalar walk and the
+    # doubling steps), at every later block boundary and at a seeded sample
+    ctx = build_field(1021, 2)
+    qm1, g, E = ctx.q - 1, ctx.generator, ctx._E
+    big = [qm1 // r for r in _prime_divisors(qm1)]
+    assert g == next(a for a in range(1, ctx.q)
+                     if all(_scalar_pow(ctx, a, e) != 1 for e in big))
+    assert int(E[0]) == 1
+    boundaries = range(field.TABLE_BLOCK - 1, qm1, field.TABLE_BLOCK)
+    sample = random.Random("walk:1021^2").sample(range(qm1), 4096)
+    for i in [*range(field.TABLE_BLOCK), *boundaries, *sample, qm1 - 1]:
+        assert int(E[(i + 1) % qm1]) == ctx._mul_notable(int(E[i]), g)
+    assert np.array_equal(ctx._L[E], np.arange(qm1))
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 8), (3, 5), (7, 2)])

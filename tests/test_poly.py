@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from permupoly import (CompositePoly, PolyParseError, SparsePoly, build_field,
@@ -78,6 +79,26 @@ def test_evaluate_all_matches_scalar(gf64, gf625):
         assert int(vals2[a]) == evaluate(gf625, f2, a)
     with pytest.raises(ValueError, match="unknown evaluation order 'exp'"):
         evaluate_all(gf64, f1, "exp")
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (5, 4)])
+def test_tables_read_only_and_values_fresh(p, n):
+    ctx = build_field(p, n)
+    tables = [ctx._P, ctx._E, ctx._L] + ([ctx._Z] if p != 2 else [])
+    assert ctx._P[0] == 0 and np.shares_memory(ctx._E, ctx._P)
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+    with pytest.raises(TypeError):
+        ctx._exp[0] = 0
+    fs = [CompositePoly.identity(), SparsePoly(X_TERMS), parse_poly(ctx, "x + 1"),
+          parse_poly(ctx, "g^3")]
+    for order in ("code", "canonical"):
+        for f in fs:
+            values = evaluate_all(ctx, f, order)
+            assert values.flags.writeable
+            assert not any(np.shares_memory(values, t) for t in tables)
+            values[0] = values[1]
 
 
 def test_reduce_fermat(gf16):

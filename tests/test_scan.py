@@ -162,8 +162,13 @@ def test_scan_json_schema(tmp_path):
     assert isinstance(payload["duration_ms"], float)
 
 
-def test_slices_build_only_their_tuples(monkeypatch):
-    # each worker slice constructs its own range and nothing before it
+@pytest.mark.parametrize("family, field_params, tuples", [
+    ("P6", {"k": 3}, 63 * 64),
+    ("P5", {"m": 2}, 16 * 16),
+    ("P1", {"m": 2, "k": 3}, 4096),
+], ids=["P6-k3", "P5-m2", "P1-m2k3"])
+def test_scan_builds_each_tuple_once(monkeypatch, family, field_params, tuples):
+    # one make_family call per enumerated tuple, each tuple once
     import permupoly.families as families_mod
 
     real, calls = families_mod.make_family, []
@@ -173,8 +178,9 @@ def test_slices_build_only_their_tuples(monkeypatch):
         return real(params)
 
     monkeypatch.setattr(families_mod, "make_family", counting)
-    scan_necessity("P6", {"k": 3}, workers=3)
-    assert len(calls) == 63 * 64
+    scan = scan_necessity if family in ("P5", "P6") else scan_sufficiency
+    scan(family, field_params)
+    assert len(calls) == len(set(calls)) == tuples
 
 
 def test_scan_runs_on_calling_thread(monkeypatch):
