@@ -16,7 +16,7 @@ import numpy as np
 
 TABLE_BOUND = 1 << 24       # largest q with log tables, and so with an exhaustive check
 TABLE_WALK = 64             # generator powers the table build takes by scalar multiply
-TABLE_BLOCK = 1 << 12       # generator powers per matrix step of the table build
+TABLE_BLOCK = 1 << 12       # generator powers per block step of the table build
 TRIAL_DIVISION_BOUND = 1 << 20  # _prime_factors trial-divides up to here
 RHO_BUDGET = 1 << 20        # Pollard rho iterations before _prime_factors gives up
 RHO_BATCH = 128             # rho steps per gcd
@@ -628,50 +628,85 @@ def _digit_matrix(codes, p, n):
             ).astype(np.float64)
 
 
-def _generator_powers(ctx, walk=TABLE_WALK, block=TABLE_BLOCK, out=None):
-    """g^0, ..., g^(q-2) as an int64 array, g = ctx.generator, written into
-    out when it is given.
+_BYTE_BITS = (np.arange(256, dtype=np.int64)[:, None] >> np.arange(8)) & 1  # [v, j]: bit j of v
 
-    Multiplication by a fixed c is GF(p)-linear on digit vectors: its matrix
-    has the digits of c * x^j as column j.  The first `walk` powers come from
-    the scalar multiply (all of them in small fields, where numpy's overhead
-    would dominate); as digit columns they then double until `block`
-    columns, and each later block is the matrix of g^block times the block
-    before, mod p.
 
-    Entries stay below n * p^2 <= q^2 <= 2^48, so float64 matmul and
-    floor division are exact, and only one block of digits is live at a time.
-    """
-    p, n, qm1 = ctx.p, ctx.n, ctx.q - 1
+def _xor_multiplier(ctx, c):
+    """p = 2: B -> c * B on an int64 array of codes, written into out when
+    it is given.  The product is GF(2)-linear on bits, so it is the XOR over
+    bytes b of T_b[byte b of B], where T_b[v] = c * (v << 8b) is the XOR of
+    the c * x^j over the bits j of v << 8b."""
+    n = ctx.n
+    cols = np.array([ctx._mul_notable(c, 1 << j) for j in range(n)] + [0] * (-n % 8),
+                    dtype=np.int64)
+    T = np.bitwise_xor.reduce(cols.reshape(-1, 1, 8) * _BYTE_BITS, axis=2)
+    top = len(T) - 1
 
-    def matrix(c):
-        return _digit_matrix([ctx._mul_notable(c, p ** j) for j in range(n)], p, n)
+    def times(B, out=None):
+        # codes are below 2^n, so the top byte needs no mask
+        idx = B & 255 if top else B
+        out = np.take(T[0], idx, out=out)
+        for b in range(1, top + 1):
+            np.right_shift(B, 8 * b, out=idx)
+            if b < top:
+                idx &= 255
+            out ^= T[b][idx]
+        return out
+    return times
 
-    def times(M, D):
+
+def _matrix_multiplier(ctx, c):
+    """Odd p: D -> c * D on an n x width float64 digit matrix, by the matrix
+    whose column j holds the digits of c * x^j, mod p; when out is given,
+    the product's codes are written into it."""
+    p, n = ctx.p, ctx.n
+    M = _digit_matrix([ctx._mul_notable(c, p ** j) for j in range(n)], p, n)
+    pw = p ** np.arange(n, dtype=np.float64)
+
+    def times(D, out=None):
         Y = M @ D
         quo = Y / p                     # Y mod p, without float remainder's cost
         np.floor(quo, out=quo)
         quo *= p
         Y -= quo
+        if out is not None:
+            out[:] = pw @ Y
         return Y
+    return times
 
+
+def _generator_powers(ctx, walk=TABLE_WALK, block=TABLE_BLOCK, out=None):
+    """g^0, ..., g^(q-2) as an int64 array, g = ctx.generator, written into
+    out when it is given.
+
+    Multiplication by a fixed c is GF(p)-linear on digit vectors.  The first
+    `walk` powers come from the scalar multiply (all of them in small
+    fields, where numpy's overhead would dominate); as a block they then
+    double until `block` powers, and each later block is g^block times the
+    block before.  Only the block product differs by characteristic: for
+    p = 2 a block is its codes, multiplied byte by byte through XOR tables
+    and written straight into the output; for odd p it is its digit matrix,
+    multiplied by an n x n GF(p) matrix (entries stay below n * p^2 <= q^2
+    <= 2^48, so float64 matmul and floor division are exact), and only one
+    block of digits is live at a time.
+    """
+    p, n, qm1 = ctx.p, ctx.n, ctx.q - 1
+    multiplier = _xor_multiplier if p == 2 else _matrix_multiplier
     powers = [1]
     while len(powers) < min(walk, qm1):
         powers.append(ctx._mul_notable(powers[-1], ctx.generator))
-    D = _digit_matrix(powers, p, n)
-    c = ctx._mul_notable(powers[-1], ctx.generator)  # invariant: c = g^(columns of D)
-    while D.shape[1] < min(block, qm1):
-        D = np.concatenate([D, times(matrix(c), D)], axis=1)
+    B = np.array(powers, dtype=np.int64) if p == 2 else _digit_matrix(powers, p, n)
+    c = ctx._mul_notable(powers[-1], ctx.generator)  # invariant: c = g^(width of B)
+    while B.shape[-1] < min(block, qm1):
+        B = np.concatenate([B, multiplier(ctx, c)(B)], axis=-1)
         c = ctx._mul_notable(c, c)
-    pw = p ** np.arange(n, dtype=np.float64)
     exp = np.empty(qm1, dtype=np.int64) if out is None else out
-    width = D.shape[1]
-    step = matrix(c) if width < qm1 else None
-    for start in range(0, qm1, width):
-        k = min(width, qm1 - start)
-        exp[start:start + k] = pw @ D[:, :k]
-        if start + k < qm1:
-            D = times(step, D)
+    width = B.shape[-1]
+    exp[:width] = B[:qm1] if p == 2 else p ** np.arange(n, dtype=np.float64) @ B[:, :qm1]
+    step = multiplier(ctx, c) if width < qm1 else None
+    for start in range(width, qm1, width):
+        dst = exp[start:start + width]
+        B = step(B[..., :len(dst)], out=dst)
     return exp
 
 
@@ -700,11 +735,13 @@ def _find_generator(ctx_mul, q, candidates):
     raise ValueError("no generator found (modulus not irreducible?)")
 
 
-def build_field(p, n, modulus=None):
+def build_field(p, n, modulus=None, tables=True):
     """Construct GF(p^n).
 
     modulus may be a coefficient tuple/list (ascending, monic, degree n) or a
     packed integer code; default is the canonical smallest irreducible.
+    Log tables are built for q <= TABLE_BOUND unless tables is false, for
+    callers that read only the modulus and the generator.
     """
     if not _is_probable_prime(p):
         raise ValueError(f"p={p} is not prime")
@@ -737,7 +774,7 @@ def build_field(p, n, modulus=None):
     ctx = FieldCtx(p, n, mod)
     # for n >= 2, codes below p are GF(p) elements, of order dividing p - 1 < q - 1
     ctx.generator = _find_generator(ctx._mul_notable, q, range(p if n > 1 else 1, q))
-    if q <= TABLE_BOUND:
+    if tables and q <= TABLE_BOUND:
         ctx._build_tables()
     return ctx
 

@@ -192,6 +192,43 @@ def test_field_info_cli(capsys):
     assert "0x273" in out
 
 
+FIELD_INFO = {
+    "2^8": ("field GF(2^8), q = 256\n"
+            "modulus 0x11b (coefficients, constant first: [1, 1, 0, 1, 1, 0, 0, 0, 1])\n"
+            "generator g^1 = code 3\nlog tables: yes\nsubfield degrees: [1, 2, 4, 8]\n"),
+    "5^4": ("field GF(5^4), q = 625\n"
+            "modulus 0x273 (coefficients, constant first: [2, 0, 0, 0, 1])\n"
+            "generator g^1 = code 6\nlog tables: yes\nsubfield degrees: [1, 2, 4]\n"),
+    "4093^2": ("field GF(4093^2), q = 16752649\n"
+               "modulus 0xffa00b (coefficients, constant first: [2, 0, 1])\n"
+               "generator g^1 = code 4103\nlog tables: yes\nsubfield degrees: [1, 2]\n"),
+    "2^24": ("field GF(2^24), q = 16777216\n"
+             "modulus 0x100001b (coefficients, constant first: [1, 1, 0, 1, 1"
+             + ", 0" * 19 + ", 1])\n"
+             "generator g^1 = code 2\nlog tables: yes\n"
+             "subfield degrees: [1, 2, 3, 4, 6, 8, 12, 24]\n"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FIELD_INFO))
+def test_field_info_builds_no_tables(capsys, monkeypatch, spec):
+    # the description of a tabled field reads none of its tables
+    def refuse(ctx):
+        raise AssertionError("field-info built log tables")
+    monkeypatch.setattr(field.FieldCtx, "_build_tables", refuse)
+    code, out, err = run(capsys, "field-info", "--field", spec)
+    assert (code, out, err) == (0, FIELD_INFO[spec], "")
+
+
+def test_field_info_names_generator_as_tables_do(capsys):
+    for spec in ("2^1", "3^1", "2^8"):
+        ctx = field.field_from_descriptor(spec)
+        code, out, _ = run(capsys, "field-info", "--field", spec)
+        assert code == 0
+        assert (f"generator {ctx.format_element(ctx.generator)} = code {ctx.generator}\n"
+                "log tables: yes\n") in out
+
+
 def test_field_info_large_char2(capsys, monkeypatch):
     # q - 1 = 2^61 - 1 is prime; trial division alone would take minutes
     code, out, _ = run(capsys, "field-info", "--field", "2^61")

@@ -297,8 +297,14 @@ def _irreducible_codes(p, n):
                                            for i in range(n + 1)]), p)]
 
 
+# p = 2 blocks are multiplied byte by byte: n = 9 and 12 double through
+# two-byte tables, and n = 13 and 16 also take block steps, the last partial;
+# x^12 + ... + 1 is irreducible but x has order 13 in its field
+NONCANONICAL_GF2 = [(2, 12, 0x1fff), (2, 16, 0x1ffed)]
 TABLE_CASES = ([(p, n, None) for p, n in [(2, 1), (3, 1), (7, 1), (1021, 1), (2, 8),
-                                          (3, 5), (5, 4), (7, 2), (251, 2)]]
+                                          (2, 9), (2, 13), (3, 5), (5, 4), (7, 2),
+                                          (251, 2)]]
+               + NONCANONICAL_GF2
                + [(2, 6, code) for code in _irreducible_codes(2, 6)]
                + [(3, 4, code) for code in _irreducible_codes(3, 4)[-3:]])
 
@@ -316,27 +322,37 @@ def test_table_build_matches_scalar_walk(p, n, modulus):
         assert type(value) is int
 
 
-def test_table_build_matches_sampled_walk_gf1021_2():
-    # a full scalar walk of these 10^6 elements takes seconds; the blockwise
-    # build is checked over its whole first block (the scalar walk and the
-    # doubling steps), at every later block boundary and at a seeded sample
-    ctx = build_field(1021, 2)
+def check_sampled_walk(ctx, seed):
+    """The blockwise build against the scalar multiply over its whole first
+    block (the scalar walk and the doubling steps), one position either side
+    of every later block boundary, and a seeded sample of 4,096 positions."""
     qm1, g, E = ctx.q - 1, ctx.generator, ctx._E
     big = [qm1 // r for r in _prime_divisors(qm1)]
     assert g == next(a for a in range(1, ctx.q)
                      if all(_scalar_pow(ctx, a, e) != 1 for e in big))
     assert int(E[0]) == 1
-    boundaries = range(field.TABLE_BLOCK - 1, qm1, field.TABLE_BLOCK)
-    sample = random.Random("walk:1021^2").sample(range(qm1), 4096)
-    for i in [*range(field.TABLE_BLOCK), *boundaries, *sample, qm1 - 1]:
+    starts = range(field.TABLE_BLOCK, qm1, field.TABLE_BLOCK)
+    sample = random.Random(seed).sample(range(qm1), 4096)
+    for i in [*range(field.TABLE_BLOCK), *(s + d for s in starts for d in (-1, 0, 1)),
+              *sample, qm1 - 1]:
         assert int(E[(i + 1) % qm1]) == ctx._mul_notable(int(E[i]), g)
     assert np.array_equal(ctx._L[E], np.arange(qm1))
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 8), (3, 5), (7, 2)])
+def test_table_build_matches_sampled_walk_gf1021_2():
+    # a full scalar walk of these 10^6 elements takes seconds
+    check_sampled_walk(build_field(1021, 2), "walk:1021^2")
+
+
+def test_table_build_matches_sampled_walk_gf2_20():
+    # 256 blocks, each the previous one times g^4096 through three byte tables
+    check_sampled_walk(build_field(2, 20), "walk:2^20")
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 8), (2, 10), (3, 5), (7, 2)])
 def test_generator_powers_any_block(p, n):
     # fields this small fit in one default block; small blocks exercise the
-    # matrix steps between blocks and a short last block
+    # block steps (by matrix, or by byte tables for p = 2) and a short last block
     ctx = build_field(p, n)
     _, exp, _ = walked_tables(ctx)
     for walk, block in [(1, 1), (1, 2), (1, 3), (2, 5), (3, 16), (64, 100), (1, 64)]:
@@ -348,6 +364,9 @@ def test_table_cases_cover_the_moduli():
     noncanonical = [c[2] for c in TABLE_CASES if c[:2] == (3, 4)]
     assert len(noncanonical) == 3
     assert _code_of(canonical_modulus(3, 4), 3) not in noncanonical
+    for p, n, code in NONCANONICAL_GF2:
+        assert is_irreducible(_digits_of(code, p, n + 1), p)
+        assert code != _code_of(canonical_modulus(p, n), p)
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
