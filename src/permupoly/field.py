@@ -5,8 +5,8 @@ over GF(p) is packed as the base-p integer sum(c_i * p^i), so the constant
 term is the least significant digit.  For p = 2 this is the usual bit
 vector.  A FieldCtx owns the modulus, a generator, and (for q <= 2^24)
 discrete-log tables, which are read-only numpy arrays; all operations are
-pure and the context is immutable after construction, so it can be shared
-freely across workers.
+pure and the context is immutable after construction, apart from the
+bounded memo of composite powers that poly.evaluate_all keeps in it.
 """
 
 import itertools
@@ -321,6 +321,7 @@ class FieldCtx:
         self._log = None                            # memoryview(L)
         self._mod_int = self.modulus_code if p == 2 else None
         self._as_solver = None                      # lazy, used by circle.solve_quadratic
+        self._powers = {}                           # poly.evaluate_all's memo of base powers
 
     # -- codec ------------------------------------------------------------
 

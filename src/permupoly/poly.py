@@ -12,6 +12,10 @@ import numpy as np
 
 MAX_EXPONENT = 1 << 62
 REDUCE_FIELD_BOUND = 1 << 12
+# Bytes of composite powers T^e that evaluate_all keeps per field.  It holds
+# all 256 bases of a q = 2^8 scan (512 KiB) and stays below one GF(2^20)
+# value array (8 MiB), so large-field checks store nothing.
+POWER_MEMO_BYTES = 1 << 20
 
 # the identity inner polynomial x
 X_TERMS = ((1, 1),)
@@ -99,13 +103,14 @@ def evaluate(ctx, f, x):
 
 def _sum_terms(ctx, X, logs, terms):
     """Sum of c * T^e over (c, T, e) terms at the points X, whose logs are
-    logs (see FieldCtx.monomial_vec); T is a value array, or None for the
-    base x.  The first term starts the sum, so the empty sum is zeros like
-    X.  A term calls only the kernels it needs: e = 0 is the constant c
-    (0^0 = 1), and the constants fold into one scalar added last; c * x^e
-    is one monomial_vec gather and x itself is X, while other bases take T
-    as it is for e = 1 and skip the scale for c = 1.  The result is X itself
-    only when X is writable; a read-only X (a table) is copied."""
+    logs (see FieldCtx.monomial_vec); T is None for the base x, or else the
+    value array of a power, which comes with e = 1.  The first term starts
+    the sum, so the empty sum is zeros like X.  A term calls only the
+    kernels it needs: e = 0 is the constant c (0^0 = 1), and the constants
+    fold into one scalar added last; c * x^e is one monomial_vec gather and
+    x itself is X, while a value array skips the scale for c = 1.  The
+    result is always writable: a read-only acc (a table, or a memo entry)
+    is copied."""
     acc, const = None, 0
     for c, T, e in terms:
         if c == 0:
@@ -116,25 +121,40 @@ def _sum_terms(ctx, X, logs, terms):
         if T is None:
             v = X if c == 1 and e == 1 else ctx.monomial_vec(c, e, logs)
         else:
-            v = T if e == 1 else ctx.pow_vec(T, e)
-            if c != 1:
-                v = ctx.scale_vec(c, v)
+            v = T if c == 1 else ctx.scale_vec(c, T)
         acc = v if acc is None else ctx.add_vec(acc, v)
     if acc is None:
         return np.full_like(X, const)
     if const:
         return ctx.add_vec(acc, const)
-    return X.copy() if acc is X and not X.flags.writeable else acc
+    return acc if acc.flags.writeable else acc.copy()
 
 
 def eval_sparse_all(ctx, sp, X, logs):
     return _sum_terms(ctx, X, logs, ((c, None, e) for e, c in sp.terms))
 
 
+def _base_power(ctx, order, base, e, X, logs):
+    """T^e for a composite base T = base(x) and e != 0, at the points X in
+    the given order, from the field's memo.  A miss is evaluated, and stored
+    read-only while the memo stays within POWER_MEMO_BYTES; every entry
+    holds q codes.  Scans cycle through their bases, so store-until-full
+    keeps hitting where LRU eviction would miss every time."""
+    memo, key = ctx._powers, (order, base.terms, e)
+    v = memo.get(key)
+    if v is None:
+        T = eval_sparse_all(ctx, base, X, logs)
+        v = T if e == 1 else ctx.pow_vec(T, e)
+        if (len(memo) + 1) * v.nbytes <= POWER_MEMO_BYTES:
+            v.flags.writeable = False
+            memo[key] = v
+    return v
+
+
 def evaluate_all(ctx, f, order="code"):
     """Values of f on every field element, as an array in the given order:
     "code" indexes by element code; "canonical" puts f(0) at position 0 and
-    f(g^i) at position i + 1.
+    f(g^i) at position i + 1.  The result is a fresh writable array.
 
     Needs log tables; without them it raises before any work, even for f = x.
     """
@@ -148,7 +168,8 @@ def evaluate_all(ctx, f, order="code"):
     if isinstance(f, SparsePoly):
         return eval_sparse_all(ctx, f, X, logs)
     return _sum_terms(ctx, X, logs, (
-        (c, None if base.is_x() else eval_sparse_all(ctx, base, X, logs), e)
+        (c, None, e) if e == 0 or base.is_x()
+        else (c, _base_power(ctx, order, base, e, X, logs), 1)
         for c, base, e in f.terms))
 
 

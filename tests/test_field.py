@@ -576,3 +576,35 @@ def test_large_char2_field_builds(n):
     assert ctx.pow(ctx.generator, ctx.q - 1) == 1
     for r in _prime_factors(ctx.q - 1):
         assert ctx.pow(ctx.generator, (ctx.q - 1) // r) != 1
+
+
+def sympy_galoistools():
+    """sympy's GF(p)[x] arithmetic, which shares no code with field.py;
+    its coefficient lists run highest first, field.py's digits lowest first."""
+    pytest.importorskip("sympy")
+    from sympy.polys import galoistools
+    from sympy.polys.domains import ZZ
+    return galoistools, ZZ
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 4), (5, 4)])
+def test_is_irreducible_matches_sympy(p, max_degree):
+    gt, ZZ = sympy_galoistools()
+    for n in range(1, max_degree + 1):
+        for t in range(p ** n):
+            f = _digits_of(t, p, n) + (1,)
+            assert is_irreducible(f, p) == gt.gf_irreducible_p(list(reversed(f)), p, ZZ), f
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4)])
+def test_mul_matches_sympy(p, n):
+    gt, ZZ = sympy_galoistools()
+    ctx = build_field(p, n)
+    modulus = list(reversed(ctx.modulus))
+    rng = random.Random(f"sympy-mul:{p}^{n}")
+    for _ in range(2000):
+        a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        product = gt.gf_rem(gt.gf_mul(list(reversed(_digits_of(a, p, n))),
+                                      list(reversed(_digits_of(b, p, n))), p, ZZ),
+                            modulus, p, ZZ)
+        assert ctx.mul(a, b) == _code_of(list(reversed(product)), p), (a, b)

@@ -6,6 +6,7 @@ import pytest
 from permupoly import (CompositePoly, PolyParseError, SparsePoly, build_field,
                        evaluate, evaluate_all, parse_poly, reduce_mod_field,
                        to_text)
+from permupoly import poly
 from permupoly.poly import X_TERMS, load_poly_file
 
 
@@ -211,3 +212,77 @@ def test_evaluate_all_differential(p, n):
             assert evaluate_all(ctx, f, order).tolist() == \
                 [evaluate(ctx, f, a) for a in xs], (order, to_text(ctx, f))
             assert evaluate_all(ctx, sp, order).tolist() == [evaluate(ctx, sp, a) for a in xs]
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4)])
+def test_power_memo_matches_scalar_and_unmemoised(p, n, monkeypatch):
+    """Composite terms over three shared bases, with varied c and e (0, 1,
+    negative, multiples of q-1), evaluated interleaved in both orders: each
+    result equals scalar evaluate and the result with the memo bound at 0,
+    writing into a result leaves later ones unchanged, and the memo holds
+    read-only entries within its bound, also when the bound fills."""
+    ctx0 = build_field(p, n)
+    rng = random.Random(f"memo:{p}^{n}")
+    bases = []
+    while len(bases) < 3:
+        base = random_base(ctx0, rng)
+        if not base.is_x() and base not in bases:
+            bases.append(base)
+    qm1 = ctx0.q - 1
+    exponents = (0, 1, -1, -rng.randrange(2, 3 * ctx0.q), rng.randrange(2, ctx0.q),
+                 qm1, 2 * qm1, rng.randrange(ctx0.q, 1 << 62))
+    fs = [CompositePoly(tuple(
+        (rng.choice((1, rng.randrange(1, ctx0.q))), rng.choice(bases), rng.choice(exponents))
+        for _ in range(rng.randint(1, 3)))) for _ in range(30)]
+    canonical = ctx0.elements_in_order()
+    expected = []
+    for f in fs:
+        by_code = [evaluate(ctx0, f, a) for a in range(ctx0.q)]
+        expected.append({"code": by_code, "canonical": [by_code[a] for a in canonical]})
+    keys = {(order, base.terms, e) for f in fs for _, base, e in f.terms if e != 0
+            for order in ("code", "canonical")}
+    results = {}
+    for bound, stored in ((0, 0), (3 * ctx0.q * 8 + 1, 3),
+                          (poly.POWER_MEMO_BYTES, len(keys))):
+        monkeypatch.setattr(poly, "POWER_MEMO_BYTES", bound)
+        ctx = build_field(p, n)
+        for i, f in enumerate(fs):
+            for order in rng.sample(("code", "canonical"), 2):
+                values = evaluate_all(ctx, f, order)
+                got = values.tolist()
+                assert got == expected[i][order], (bound, order, to_text(ctx, f))
+                results.setdefault((i, order), got)
+                assert got == results[i, order]
+                values[:] = 0
+        assert all(not v.flags.writeable for v in ctx._powers.values())
+        assert len(ctx._powers) == stored
+        assert sum(v.nbytes for v in ctx._powers.values()) <= bound
+
+
+def test_power_memo_stores_nothing_at_2_20():
+    ctx = build_field(2, 20)
+    assert ctx.q * 8 > poly.POWER_MEMO_BYTES
+    f = parse_poly(ctx, "(x^2 + x + g^3)^523776 + g^1025*x")
+    for order in ("code", "canonical"):
+        values = evaluate_all(ctx, f, order)
+        assert values.flags.writeable
+        for a in (0, 1, int(ctx._E[12345])):
+            position = a if order == "code" else (0 if a == 0 else int(ctx._L[a]) + 1)
+            assert int(values[position]) == evaluate(ctx, f, a)
+    assert ctx._powers == {}
+
+
+def test_outer_exponent_zero_skips_the_base(monkeypatch):
+    ctx = build_field(2, 8)
+    calls = []
+    real = poly.eval_sparse_all
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(poly, "eval_sparse_all", counted)
+    f = parse_poly(ctx, "(x^2 + x + g^3)^0 + x")
+    for order, xs in (("code", range(ctx.q)), ("canonical", ctx.elements_in_order())):
+        assert evaluate_all(ctx, f, order).tolist() == [evaluate(ctx, f, a) for a in xs]
+    assert calls == [] and ctx._powers == {}
