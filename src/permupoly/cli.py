@@ -147,9 +147,11 @@ def cmd_scan(args):
     t = report
     print(f"scan {t.family} mode={t.mode} over GF({t.field['p']}^{t.field['n']})"
           f" modulus {t.field['modulus']}")
+    # a sufficiency scan never checks a violating tuple
+    violating = (f"pp among violating {t.pp_true_violating}"
+                 if t.mode == "necessity" else "violating tuples not evaluated")
     print(f"tuples {t.total}, satisfying {t.satisfying}, "
-          f"pp among satisfying {t.pp_true_satisfying}, "
-          f"pp among violating {t.pp_true_violating}")
+          f"pp among satisfying {t.pp_true_satisfying}, {violating}")
     if t.mode == "necessity":
         c = t.confusion
         print(f"confusion: tt={c['tt']} tf={c['tf']} ft={c['ft']} ff={c['ff']}")

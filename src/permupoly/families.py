@@ -5,7 +5,8 @@ over its prescribed field, together with a checklist that evaluates every
 hypothesis clause separately.  Clauses marked gating define the
 "satisfying" side of parameter enumeration; a few clauses are reported
 only (see the detail strings), and P5/P6 designate one clause as the
-condition tested by necessity scans.
+condition tested by necessity scans.  Tuples that agree on the parameters
+a term or clause depends on share it, through a per-field memo (see _part).
 
 Fields per family:
   P1 over GF(2^(m*k)):   (b*x + delta)^(2^m+1) + x^(2^m) + c*x
@@ -18,6 +19,7 @@ Fields per family:
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +157,16 @@ _ROLES = {fam: tuple((name, name in field + enum, name in field + enum + opt)
                      for name in INT_PARAMS + ELEMENT_PARAMS)
           for fam, (field, enum, opt) in SCHEMA.items()}
 
+# family -> (names it requires, names it does not take, element names it
+# takes), each in _ROLES order
+_ROLE_NAMES = {fam: (tuple(n for n, required, _ in roles if required),
+                     tuple(n for n, _, allowed in roles if not allowed),
+                     tuple(n for n, _, allowed in roles
+                           if allowed and n in ELEMENT_PARAMS))
+               for fam, roles in _ROLES.items()}
+
+_INT_VALUES = operator.itemgetter(*INT_PARAMS)
+
 
 @functools.lru_cache(maxsize=64, typed=True)
 def _memo_field_shape(family, *ints):
@@ -164,27 +176,39 @@ def _memo_field_shape(family, *ints):
         family, {n: v for n, v in zip(INT_PARAMS, ints) if v is not None})
 
 
+def _role_error(fam, d):
+    """The first parameter, in _ROLES order, that fam requires and d lacks
+    or that d sets and fam does not take."""
+    for name, required, allowed in _ROLES[fam]:
+        if d[name] is None:
+            if required:
+                return ValueError(f"{fam} requires parameter {name}")
+        elif not allowed:
+            return ValueError(f"{fam} does not take parameter {name}")
+
+
 def validate_params(params):
     d = vars(params)
     fam = d["family"]
     if fam not in SCHEMA:
         raise ValueError(f"unknown family {fam!r}")
-    for name, required, allowed in _ROLES[fam]:
+    required, excluded, elements = _ROLE_NAMES[fam]
+    for name in required:
         if d[name] is None:
-            if required:
-                raise ValueError(f"{fam} requires parameter {name}")
-        elif not allowed:
-            raise ValueError(f"{fam} does not take parameter {name}")
+            raise _role_error(fam, d)
+    for name in excluded:
+        if d[name] is not None:
+            raise _role_error(fam, d)
     ctx = d["ctx"]
     try:
-        p, n = _memo_field_shape(fam, *[d[name] for name in INT_PARAMS])
+        p, n = _memo_field_shape(fam, *_INT_VALUES(d))
     except TypeError:       # an unhashable value, which family_field_shape rejects
         p, n = family_field_shape(fam, params.given(INT_PARAMS))
     if (ctx.p, ctx.n) != (p, n):
         raise ValueError(f"{fam} with {params.given(INT_PARAMS)} lives in "
                          f"GF({p}^{n}), not {ctx!r}")
     q = ctx.q
-    for name in ELEMENT_PARAMS:
+    for name in elements:
         v = d[name]
         if v is not None and (not isinstance(v, int) or not 0 <= v < q):
             raise ValueError(f"element parameter {name}={v!r} is not in {ctx!r}")
@@ -215,141 +239,232 @@ def _inner(*pairs):
     return SparsePoly(tuple(t for t in pairs if t[1]))
 
 
+def _b_term(b):
+    """The composite terms of b*x, as CompositePoly.make keeps them."""
+    return ((b, _X, 1),) if b else ()
+
+
 def _entry_member(ctx, name, value, m, exclude, gating=True):
     """Membership clause: value in GF(p^m) minus an excluded set."""
     ok = ctx.in_subfield(m, value) and value not in exclude
     return ChecklistEntry(name, ok, f"value {_fmt(ctx, value)}", gating)
 
 
+# ---------------------------------------------------------------------------
+# construction: each family's terms and clauses, built from the parameters
+# they depend on and shared between tuples through a per-field memo
+# ---------------------------------------------------------------------------
+
+# Entries that make_family keeps per field (FieldCtx._parts).  A scan over
+# GF(2^8) needs about 512, one per b and one per delta; a larger domain
+# stores its first values and builds the rest each time.
+PART_MEMO_ENTRIES = 1 << 13
+
+
+def _part(ctx, build, *args):
+    """build(ctx, *args), from the field's memo.  A builder reads only its
+    arguments and the field, and returns immutable values (ints, tuples,
+    SparsePoly, ChecklistEntry), so every tuple that reads an entry can
+    share it.  A miss is stored while the memo holds fewer than
+    PART_MEMO_ENTRIES entries."""
+    memo, key = ctx._parts, (build, args)
+    v = memo.get(key)
+    if v is None:
+        v = build(ctx, *args)
+        if len(memo) < PART_MEMO_ENTRIES:
+            memo[key] = v
+    return v
+
+
+# Integer parameters are formatted with :d in details, so a bool that
+# validates as 0 or 1 reads the same as the int it shares a memo key with.
+
+def _p1_b(ctx, m, k, b, c):
+    """Everything in P1 but the inner base b*x + delta: its exponent, the
+    x^(2^m) and c*x terms, and all five clauses."""
+    exp_c = _p1_c_exponent(m, ctx.q)
+    derived_c = ctx.pow(b, exp_c)
+    if c is None:
+        c = derived_c
+    gcd_val = math.gcd((1 << m) + 1, (1 << (m * k)) - 1)
+    tail = ((1, _X, 1 << m),) + (((c, _X, 1),) if c else ())
+    return (1 << m) + 1, tail, (
+        ChecklistEntry("2 does not divide k", k % 2 == 1, f"k={k:d}"),
+        ChecklistEntry("b not in F_2", b not in (0, 1), f"b={_fmt(ctx, b)}"),
+        ChecklistEntry("c = b^(1-2^(2m))", c == derived_c,
+                       f"c={_fmt(ctx, c)}, b^{exp_c}={_fmt(ctx, derived_c)}"),
+        ChecklistEntry("c not in F_2", c not in (0, 1),
+                       "reported only; the unique-preimage argument uses "
+                       "just c = b^(1-2^(2m))", gating=False),
+        ChecklistEntry("gcd(2^m+1, 2^n-1) = 1", gcd_val == 1,
+                       f"recomputed gcd = {gcd_val}", gating=False),
+    )
+
+
+def _make_p1(ctx, d):
+    b = d["b"]
+    e, tail, entries = _part(ctx, _p1_b, d["m"], d["k"], b, d["c"])
+    inner = _inner((0, d["delta"]), (1, b))
+    return CompositePoly(((1, inner, e),) + tail), HypothesisChecklist(entries)
+
+
+def _p2_delta(ctx, m, s, delta):
+    inner = _inner((0, delta), (1, 1), (1 << m, 1))
+    return ((1, inner, -s),), (
+        ChecklistEntry("2 does not divide m", m % 2 == 1, f"m={m:d}"),
+        _entry_member(ctx, "delta in F_(2^m)", delta, m, ()),
+    )
+
+
+def _p2_b(ctx, m, s, b):
+    mod = (1 << (2 * m)) - 1
+    residue = (((1 << m) + 2) * (-s)) % mod
+    target = (1 << m) - 1
+    return _b_term(b), (
+        _entry_member(ctx, "b in F_(2^m)\\F_2", b, m, (0, 1)),
+        ChecklistEntry("(2^m+2)(-s) = 2^m-1 (mod 2^(2m)-1)",
+                       residue == target,
+                       f"residue {residue}, target {target}; reported only, "
+                       "the permutation verdict is checked by brute force",
+                       gating=False),
+    )
+
+
+def _make_p2(ctx, d):
+    m, s = d["m"], d["s"]
+    head, delta_entries = _part(ctx, _p2_delta, m, s, d["delta"])
+    tail, b_entries = _part(ctx, _p2_b, m, s, d["b"])
+    return (CompositePoly(head + tail),
+            HypothesisChecklist(delta_entries + b_entries))
+
+
+def _p3_bprime(ctx, m, bprime):
+    return ctx.pow(bprime, 3), ChecklistEntry(
+        "bprime in unit circle",
+        bprime != 0 and ctx.pow(bprime, (1 << m) + 1) == 1,
+        f"bprime={_fmt(ctx, bprime)}")
+
+
+def _p3_b(ctx, m, b):
+    return ctx.pow(b, 2 * ((1 << m) - 1)), ChecklistEntry(
+        "b not in F_(2^m)", not ctx.in_subfield(m, b), f"b={_fmt(ctx, b)}")
+
+
+def _make_p3(ctx, d):
+    m, bprime, b = d["m"], d["bprime"], d["b"]
+    bprime_cube, bprime_entry = _part(ctx, _p3_bprime, m, bprime)
+    b_power, b_entry = _part(ctx, _p3_b, m, b)
+    cond = ctx.mul(b_power, bprime_cube)
+    poly = CompositePoly.make(
+        ((b, _X, 1), (bprime, _X, 2), (1, _X, 1 << (m + 1))))
+    return poly, HypothesisChecklist((
+        bprime_entry, b_entry,
+        ChecklistEntry("b^(2(2^m-1)) * bprime^3 = 1", cond == 1,
+                       f"product {_fmt(ctx, cond)}"),
+    ))
+
+
+def _p4_r(ctx, q, e, r):
+    rs = _p4_exponents(q, e)
+    return (ChecklistEntry("r in {1, q^(e-1)+...+q^2+1}", r in rs,
+                           f"r={r:d}, allowed {{1, {rs[-1]}}}"),)
+
+
+def _p4_a(ctx, q, e, a):
+    norm_exp = (ctx.q - 1) // (q - 1)
+    norm = ctx.pow(a, norm_exp)
+    target = 1 if e % 2 == 0 else ctx.neg(1)
+    gcd_val = math.gcd(e - 1, q - 1)
+    return (
+        ChecklistEntry("a != 0", a != 0, f"a={_fmt(ctx, a)}"),
+        ChecklistEntry("norm(a) != (-1)^e", norm != target,
+                       f"a^{norm_exp}={_fmt(ctx, norm)}, "
+                       f"(-1)^{e:d}={_fmt(ctx, target)}"),
+        ChecklistEntry("gcd(e-1, q-1) = 1", gcd_val == 1, f"gcd = {gcd_val}"),
+    )
+
+
+def _make_p4(ctx, d):
+    q, e, r, a = d["q"], d["e"], d["r"], d["a"]
+    poly = CompositePoly.make(((a, _X, r), (1, _X, r + q - 1)))
+    return poly, HypothesisChecklist(
+        _part(ctx, _p4_r, q, e, r) + _part(ctx, _p4_a, q, e, a))
+
+
+def _p5_delta(ctx, m, delta):
+    inner = _inner((0, delta), (1, 1), (1 << m, 1))
+    exp = (1 << (2 * m - 1)) + (1 << (m - 1))
+    tr = ctx.relative_trace(m, delta)
+    return ((1, inner, exp),), (
+        ChecklistEntry("Tr_m^(2m)(delta) != 0", tr != 0,
+                       f"trace {_fmt(ctx, tr)}"),
+    )
+
+
+def _p5_b(ctx, m, b):
+    b_pm = ctx.frobenius(b, m)
+    lhs = ctx.add(b_pm, b)
+    rhs = ctx.mul(b_pm, b)
+    return _b_term(b), (
+        ChecklistEntry("b not in F_(2^m)", b_pm != b, f"b={_fmt(ctx, b)}"),
+        ChecklistEntry(NECESSITY_CLAUSE["P5"], lhs == rhs,
+                       f"b^(2^m)+b={_fmt(ctx, lhs)}, "
+                       f"b^(2^m+1)={_fmt(ctx, rhs)}; this is the form the "
+                       "derivation reaches (an alternate statement reads "
+                       "b+b^m, which differs)"),
+    )
+
+
+def _p6_delta(ctx, k, delta):
+    inner = _inner((0, delta), (1, 1), (2, 1))
+    exp = (1 << (2 * k - 1)) - (1 << (k - 1))
+    tr = ctx.relative_trace(1, delta)
+    return ((1, inner, exp),), (
+        ChecklistEntry("k > 1", k > 1, f"k={k:d}"),
+        ChecklistEntry("Tr_1^n(delta) = 1", tr == 1, f"trace {_fmt(ctx, tr)}"),
+    )
+
+
+def _p6_b(ctx, k, b):
+    return _b_term(b), (
+        ChecklistEntry(NECESSITY_CLAUSE["P6"],
+                       b != 0 and ctx.in_subfield(k, b), f"b={_fmt(ctx, b)}"),
+    )
+
+
+def _make_b_delta(delta_part, b_part, field_param):
+    """Maker for a family whose poly is (delta part's term) + b*x and whose
+    clauses are the delta part's, then the b part's."""
+    def make(ctx, d):
+        f = d[field_param]
+        head, delta_entries = _part(ctx, delta_part, f, d["delta"])
+        tail, b_entries = _part(ctx, b_part, f, d["b"])
+        return (CompositePoly(head + tail),
+                HypothesisChecklist(delta_entries + b_entries))
+    return make
+
+
+_MAKERS = {
+    "P1": _make_p1,
+    "P2": _make_p2,
+    "P3": _make_p3,
+    "P4": _make_p4,
+    "P5": _make_b_delta(_p5_delta, _p5_b, "m"),
+    "P6": _make_b_delta(_p6_delta, _p6_b, "k"),
+}
+
+
 def make_family(params):
     """Build the family polynomial and its hypothesis checklist.
 
     Violating parameters still construct (the checklist records what
-    fails), so scans can probe both sides of every clause.
+    fails), so scans can probe both sides of every clause.  The parameters
+    are validated first, on every call; then each term and clause comes
+    from the field's memo (see _part).
     """
     validate_params(params)
-    fam, ctx, x = params.family, params.ctx, _X
-
-    if fam == "P1":
-        m, k, b, delta = params.m, params.k, params.b, params.delta
-        n = m * k
-        exp_c = _p1_c_exponent(m, ctx.q)
-        derived_c = ctx.pow(b, exp_c)
-        c = params.c if params.c is not None else derived_c
-        inner = _inner((0, delta), (1, b))
-        poly = CompositePoly.make([
-            (1, inner, (1 << m) + 1),
-            (1, x, 1 << m),
-            (c, x, 1),
-        ])
-        gcd_val = math.gcd((1 << m) + 1, (1 << n) - 1)
-        checklist = HypothesisChecklist((
-            ChecklistEntry("2 does not divide k", k % 2 == 1, f"k={k}"),
-            ChecklistEntry("b not in F_2", b not in (0, 1), f"b={_fmt(ctx, b)}"),
-            ChecklistEntry("c = b^(1-2^(2m))", c == derived_c,
-                           f"c={_fmt(ctx, c)}, b^{exp_c}={_fmt(ctx, derived_c)}"),
-            ChecklistEntry("c not in F_2", c not in (0, 1),
-                           "reported only; the unique-preimage argument uses "
-                           "just c = b^(1-2^(2m))", gating=False),
-            ChecklistEntry("gcd(2^m+1, 2^n-1) = 1", gcd_val == 1,
-                           f"recomputed gcd = {gcd_val}", gating=False),
-        ))
-        return poly, checklist
-
-    if fam == "P2":
-        m, s, b, delta = params.m, params.s, params.b, params.delta
-        inner = _inner((0, delta), (1, 1), (1 << m, 1))
-        poly = CompositePoly.make([(1, inner, -s), (b, x, 1)])
-        mod = (1 << (2 * m)) - 1
-        residue = (((1 << m) + 2) * (-s)) % mod
-        target = (1 << m) - 1
-        checklist = HypothesisChecklist((
-            ChecklistEntry("2 does not divide m", m % 2 == 1, f"m={m}"),
-            _entry_member(ctx, "delta in F_(2^m)", delta, m, ()),
-            _entry_member(ctx, "b in F_(2^m)\\F_2", b, m, (0, 1)),
-            ChecklistEntry("(2^m+2)(-s) = 2^m-1 (mod 2^(2m)-1)",
-                           residue == target,
-                           f"residue {residue}, target {target}; reported only, "
-                           "the permutation verdict is checked by brute force",
-                           gating=False),
-        ))
-        return poly, checklist
-
-    if fam == "P3":
-        m, bprime, b = params.m, params.bprime, params.b
-        circle_exp = (1 << m) + 1
-        cond = ctx.mul(ctx.pow(b, 2 * ((1 << m) - 1)), ctx.pow(bprime, 3))
-        poly = CompositePoly.monomials(
-            ctx, [(1 << (m + 1), 1), (2, bprime), (1, b)])
-        checklist = HypothesisChecklist((
-            ChecklistEntry("bprime in unit circle",
-                           bprime != 0 and ctx.pow(bprime, circle_exp) == 1,
-                           f"bprime={_fmt(ctx, bprime)}"),
-            ChecklistEntry("b not in F_(2^m)", not ctx.in_subfield(m, b),
-                           f"b={_fmt(ctx, b)}"),
-            ChecklistEntry("b^(2(2^m-1)) * bprime^3 = 1", cond == 1,
-                           f"product {_fmt(ctx, cond)}"),
-        ))
-        return poly, checklist
-
-    if fam == "P4":
-        q, e, r, a = params.q, params.e, params.r, params.a
-        rs = _p4_exponents(q, e)
-        norm_exp = (ctx.q - 1) // (q - 1)
-        norm = ctx.pow(a, norm_exp)
-        minus_one = ctx.neg(1)
-        target = 1 if e % 2 == 0 else minus_one
-        gcd_val = math.gcd(e - 1, q - 1)
-        poly = CompositePoly.monomials(ctx, [(r + q - 1, 1), (r, a)])
-        checklist = HypothesisChecklist((
-            ChecklistEntry("r in {1, q^(e-1)+...+q^2+1}", r in rs,
-                           f"r={r}, allowed {{1, {rs[-1]}}}"),
-            ChecklistEntry("a != 0", a != 0, f"a={_fmt(ctx, a)}"),
-            ChecklistEntry("norm(a) != (-1)^e", norm != target,
-                           f"a^{norm_exp}={_fmt(ctx, norm)}, "
-                           f"(-1)^{e}={_fmt(ctx, target)}"),
-            ChecklistEntry("gcd(e-1, q-1) = 1", gcd_val == 1,
-                           f"gcd = {gcd_val}"),
-        ))
-        return poly, checklist
-
-    if fam == "P5":
-        m, b, delta = params.m, params.b, params.delta
-        inner = _inner((0, delta), (1, 1), (1 << m, 1))
-        exp = (1 << (2 * m - 1)) + (1 << (m - 1))
-        poly = CompositePoly.make([(1, inner, exp), (b, x, 1)])
-        tr = ctx.relative_trace(m, delta)
-        b_pm = ctx.frobenius(b, m)
-        lhs = ctx.add(b_pm, b)
-        rhs = ctx.mul(b_pm, b)
-        checklist = HypothesisChecklist((
-            ChecklistEntry("Tr_m^(2m)(delta) != 0", tr != 0,
-                           f"trace {_fmt(ctx, tr)}"),
-            ChecklistEntry("b not in F_(2^m)", b_pm != b, f"b={_fmt(ctx, b)}"),
-            ChecklistEntry(NECESSITY_CLAUSE["P5"], lhs == rhs,
-                           f"b^(2^m)+b={_fmt(ctx, lhs)}, "
-                           f"b^(2^m+1)={_fmt(ctx, rhs)}; this is the form the "
-                           "derivation reaches (an alternate statement reads "
-                           "b+b^m, which differs)"),
-        ))
-        return poly, checklist
-
-    # P6
-    k, b, delta = params.k, params.b, params.delta
-    n = 2 * k
-    inner = _inner((0, delta), (1, 1), (2, 1))
-    exp = (1 << (2 * k - 1)) - (1 << (k - 1))
-    poly = CompositePoly.make([(1, inner, exp), (b, x, 1)])
-    tr = ctx.relative_trace(1, delta)
-    checklist = HypothesisChecklist((
-        ChecklistEntry("k > 1", k > 1, f"k={k}"),
-        ChecklistEntry("Tr_1^n(delta) = 1", tr == 1,
-                       f"trace {_fmt(ctx, tr)}"),
-        ChecklistEntry(NECESSITY_CLAUSE["P6"],
-                       b != 0 and ctx.in_subfield(k, b),
-                       f"b={_fmt(ctx, b)}"),
-    ))
-    return poly, checklist
+    d = vars(params)
+    return _MAKERS[d["family"]](d["ctx"], d)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +502,17 @@ def iter_family(family, field_params, ctx=None, modulus=None):
                                           ctx.elements_in_order())
     if family == "P1":
         exp_c = _p1_c_exponent(field_params["m"], ctx.q)
-    kwargs = dict(field_params)
+    # each tuple is FamilyParams(**row), built without the frozen __init__'s
+    # one setattr per field
+    row, new = dict(vars(FamilyParams(family, ctx, **field_params))), object.__new__
     for u in outer_values:
-        kwargs[outer] = u
+        row[outer] = u
         if family == "P1":          # P1's outer parameter is b
-            kwargs["c"] = ctx.pow(u, exp_c)
+            row["c"] = ctx.pow(u, exp_c)
         for v in inner_values:
-            kwargs[inner] = v
-            params = FamilyParams(family, ctx, **kwargs)
+            row[inner] = v
+            params = new(FamilyParams)
+            vars(params).update(row)
             poly, checklist = make_family(params)
             yield params, poly, checklist
 

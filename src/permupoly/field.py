@@ -322,6 +322,7 @@ class FieldCtx:
         self._mod_int = self.modulus_code if p == 2 else None
         self._as_solver = None                      # lazy, used by circle.solve_quadratic
         self._powers = {}                           # poly.evaluate_all's memo of base powers
+        self._parts = {}                            # families._part's memo of terms and clauses
 
     # -- codec ------------------------------------------------------------
 

@@ -33,6 +33,17 @@ from .perm import check_size, is_permutation
 DISCREPANCY_CAP = 100
 ROW_CAP = 1 << 17
 SAMPLE_THRESHOLD = 1 << 16
+# Largest scan_work a scan may have; above it the scan is refused before its
+# field is built.  Over GF(2^10), P1 m=2 k=5, P2 m=5, P5 m=5 and P6 k=5
+# estimate about 1.07e9, and P4 5^6 4.9e8; P6 k=6 (6.9e10) and P4 625^2
+# (1.5e11, hours of work) are refused.
+WORK_GUARD = 1 << 31
+
+
+def scan_work(tuples, q):
+    """A scan's work estimate, in field elements: each tuple is built once
+    and may be decided by a check over all q elements, so tuples * (1 + q)."""
+    return tuples * (1 + q)
 
 
 @dataclass
@@ -141,6 +152,11 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
                          f"{sorted(NECESSITY_CLAUSE)}; got {family}")
     p, n = family_field_shape(family, field_params)
     check_size(p ** n)
+    work = scan_work(domain, p ** n)
+    if work > WORK_GUARD:
+        raise ValueError(f"scan work estimate {work:.3g} ({domain} tuples, each "
+                         f"built and checked on {p ** n} elements) is above the "
+                         f"guard of {WORK_GUARD:.3g}")
     if ctx is None:
         ctx = field_for_family(family, field_params, modulus)
     cond_name = NECESSITY_CLAUSE[family] if mode == "necessity" else None

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -301,7 +302,7 @@ def test_vacuous_pass_warns(capsys):
     assert code == 0
     assert out == ("scan P4 mode=sufficiency over GF(2^2) modulus 0x7\n"
                    "tuples 3, satisfying 0, pp among satisfying 0, "
-                   "pp among violating 0\ndiscrepancies: 0\nPASS\n")
+                   "violating tuples not evaluated\ndiscrepancies: 0\nPASS\n")
     assert err == "warning: no tuple satisfies the hypotheses; PASS is vacuous\n"
     code, out, err = run(capsys, "scan", "--family", "P6", "--k", "2",
                          "--mode", "necessity")
@@ -336,6 +337,21 @@ def test_scan_above_table_bound_fails_fast(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error: exhaustive permutation check is limited to "
                    "q <= 2^24 (got q=33554432)\n")
+
+
+def test_scan_refuses_hours_of_work_at_once(capsys, monkeypatch):
+    # P4 625^2: 390,624 tuples over GF(5^8), hours at about 24 ms a check
+    def no_build(*args):
+        raise AssertionError("field built for a refused scan")
+
+    monkeypatch.setattr(scan, "field_for_family", no_build)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--family", "P4", "--q", "625", "--e", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: scan work estimate 1.53e+11 (390624 tuples, each "
+                   "built and checked on 390625 elements) is above the guard "
+                   "of 2.15e+09\n")
 
 
 def test_check_pp_above_old_table_bound(capsys):

@@ -1,12 +1,15 @@
+import dataclasses
+import hashlib
 import random
 import re
 
 import pytest
 
-from permupoly import (FamilyParams, enumerate_params, evaluate,
+from permupoly import (FamilyParams, build_field, enumerate_params, evaluate,
                        evaluate_all, field_for_family, is_permutation,
                        kernel_is_trivial, make_family, parse_poly,
                        proof_identity_check, to_text, unit_circle)
+from permupoly import families
 from permupoly.families import check_enumeration_guard, iter_family
 
 
@@ -180,6 +183,113 @@ def test_param_validation_messages(gf64, gf256):
     for k in (3.0, [3]):
         rejects(params_for("P6", gf64, k=k, b=1, delta=0),
                 "P6 parameter k must be a positive integer")
+
+
+# -- the per-field memo of terms and clauses ---------------------------------
+
+# Each case scans several parameter sets over one field, so a memo key that
+# left out a field parameter (P1's m and k share GF(2^6), P4's q and e share
+# GF(5^2) and GF(3^3)) would hand one set's clauses to another.  The sha256
+# is of the repr of every (params, poly, checklist) yielded, pinned from the
+# construction before the memo, which built every tuple from scratch.
+MEMO_SCANS = [
+    ("P1", [{"m": 2, "k": 3}, {"m": 3, "k": 2}],
+     "00ed56086ff383b2cd94b434c94d03a75620ebebe1bb02ce5be02a2c23874b83"),
+    ("P2", [{"m": 3, "s": 6}, {"m": 3, "s": 5}],
+     "9ae8e77556cedea7bc467425ec3442a20be323815bbac95aee5ba44b3a16699c"),
+    ("P3", [{"m": 2}],
+     "c876339e8f3d253a5c60f0ece0756a33c58148d285b66602341fb9254505219c"),
+    ("P4", [{"q": 5, "e": 2}, {"q": 25, "e": 1}],
+     "4b7dd22ae84ebd1f018d6ebc1197b1045cd3bf9553a3ae54ce585960f2ab9d9c"),
+    ("P4", [{"q": 3, "e": 3}, {"q": 27, "e": 1}],
+     "5a42b53b7921d52cf546f3759e0f8fda24dec10b38d707c4d3d02378908a10e5"),
+    ("P5", [{"m": 2}],
+     "3a9a9a5e17ae5d55bfa85f40f6083f28c114984e9310fa34d244b0eec3267250"),
+    ("P5", [{"m": 3}],
+     "6725e9191f0aa518b1c671db26198003cb88c24fb66ef3b94c45bb31b06a0400"),
+    ("P6", [{"k": 2}],
+     "bf37aa2fc31412e84e17b2e1ababb8af16d88d401bdde24c2ea14770864f7fbc"),
+    ("P6", [{"k": 3}],
+     "42b7399d729f60e5b8e9894b8f190e25f4ac4c3d3604e8200c0be52d5a95db44"),
+]
+
+
+def memo_scan(family, field_params_list, ctx):
+    """Every (params, poly, checklist) of the scans, in order, over ctx."""
+    return [t for fp in field_params_list
+            for t in iter_family(family, fp, ctx=ctx)]
+
+
+def scan_digest(tuples):
+    text = "\n".join(repr((params.to_dict(), poly, checklist))
+                     for params, poly, checklist in tuples)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family, field_params_list, digest", MEMO_SCANS,
+                         ids=["P1", "P2", "P3", "P4-5^2", "P4-3^3", "P5-m2",
+                              "P5-m3", "P6-k2", "P6-k3"])
+def test_memo_matches_cold_build(monkeypatch, family, field_params_list, digest):
+    warm = field_for_family(family, field_params_list[0])
+    tuples = memo_scan(family, field_params_list, warm)
+    assert scan_digest(tuples) == digest
+    if family == "P1":      # c not given, and c other than b^(1-2^(2m))
+        tuples += [(params, *make_family(params)) for params in (
+            params_for("P1", warm, m=2, k=3, b=b, c=c, delta=warm.gen_pow(3))
+            for b in (0, 1, warm.gen_pow(5)) for c in (None, 0, 1, b))]
+    assert 0 < len(warm._parts) <= families.PART_MEMO_ENTRIES
+    # the reference: a fresh field of the same modulus whose memo stores
+    # nothing, so every call builds from scratch
+    cold = build_field(warm.p, warm.n, warm.modulus_code)
+    monkeypatch.setattr(families, "PART_MEMO_ENTRIES", 0)
+    for params, poly, checklist in tuples:
+        cold_build = make_family(dataclasses.replace(params, ctx=cold))
+        assert (poly, checklist) == make_family(params) == cold_build
+    assert cold._parts == {}
+
+
+def test_memo_is_per_field():
+    # the same codes name different elements under another modulus
+    one, other = build_field(2, 6, 0x43), build_field(2, 6, 0x5b)
+    built = {ctx: [make_family(params_for("P6", ctx, k=3, b=b, delta=d))
+                   for b in range(1, 64) for d in range(64)]
+             for ctx in (one, other)}
+    assert built[one] != built[other]
+    assert one._parts and other._parts and one._parts is not other._parts
+    for ctx in (one, other):
+        cold = build_field(2, 6, ctx.modulus_code)
+        assert built[ctx] == [make_family(params_for("P6", cold, k=3, b=b, delta=d))
+                              for b in range(1, 64) for d in range(64)]
+
+
+def test_invalid_params_raise_the_same_with_a_warm_memo(gf16):
+    def message(params):
+        with pytest.raises(ValueError) as info:
+            make_family(params)
+        return str(info.value)
+
+    warm = build_field(2, 6)
+    list(iter_family("P6", {"k": 3}, ctx=warm))
+    cold = build_field(2, 6)
+    g64 = repr(warm)
+    for kwargs, text in [
+        (dict(k=3, b=64, delta=1), f"element parameter b=64 is not in {g64}"),
+        (dict(k=3, b=1, delta=64), f"element parameter delta=64 is not in {g64}"),
+        (dict(k=3, b=1), "P6 requires parameter delta"),
+        (dict(k=3, b=1, delta=1, m=3), "P6 does not take parameter m"),
+    ]:
+        assert message(params_for("P6", warm, **kwargs)) == text
+        assert message(params_for("P6", cold, **kwargs)) == text
+    assert message(params_for("P6", gf16, k=3, b=1, delta=1)) == (
+        f"P6 with {{'k': 3}} lives in GF(2^6), not {gf16!r}")
+
+
+def test_bool_integer_parameter_reads_as_its_int(gf4):
+    # True validates as k = 1 and shares k = 1's memo entries
+    as_int = make_family(params_for("P6", gf4, k=1, b=1, delta=1))
+    as_bool = make_family(params_for("P6", build_field(2, 2), k=True, b=1, delta=1))
+    assert as_bool == as_int
+    assert as_int[1].entry("k > 1").detail == "k=1"
 
 
 # -- linearity of P3 ----------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import permupoly.scan as scan_mod
 from permupoly import (load_report, scan_necessity, scan_sufficiency,
                        write_report)
 from permupoly.scan import report_json
@@ -181,6 +182,30 @@ def test_scan_builds_each_tuple_once(monkeypatch, family, field_params, tuples):
     scan = scan_necessity if family in ("P5", "P6") else scan_sufficiency
     scan(family, field_params)
     assert len(calls) == len(set(calls)) == tuples
+
+
+class FieldBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("family, field_params, admitted", [
+    ("P4", {"q": 5, "e": 6}, True),
+    ("P2", {"m": 5, "s": 1}, True),
+    ("P6", {"k": 5}, True),
+    ("P5", {"m": 5}, True),
+    ("P6", {"k": 6}, False),
+    ("P4", {"q": 625, "e": 2}, False),
+], ids=["P4-5^6", "P2-m5", "P6-k5", "P5-m5", "P6-k6", "P4-625^2"])
+def test_work_guard(monkeypatch, family, field_params, admitted):
+    # an admitted scan gets as far as building its field
+    def build(*args):
+        raise FieldBuilt
+
+    monkeypatch.setattr(scan_mod, "field_for_family", build)
+    scan = scan_necessity if family in ("P5", "P6") else scan_sufficiency
+    with pytest.raises(FieldBuilt if admitted else ValueError,
+                       match=None if admitted else "work estimate"):
+        scan(family, field_params)
 
 
 def test_scan_runs_on_calling_thread(monkeypatch):
