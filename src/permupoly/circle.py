@@ -66,6 +66,17 @@ def half_trace(ctx, c):
     return acc
 
 
+def _eliminate(pivots, v):
+    """Reduce v by the pivots (leading bit -> (column value, preimage)) while
+    its leading bit has one: (remainder, XOR of the preimages used)."""
+    pre = 0
+    while v and v.bit_length() - 1 in pivots:
+        pv, ppre = pivots[v.bit_length() - 1]
+        v ^= pv
+        pre ^= ppre
+    return v, pre
+
+
 def _artin_schreier_solver(ctx):
     """For even k: a GF(2)-linear particular-solution map for y^2 + y = c.
 
@@ -73,21 +84,12 @@ def _artin_schreier_solver(ctx):
     polynomial basis; cached on the context.
     """
     if ctx._as_solver is None:
-        pivots = {}  # leading-bit -> (column_value, preimage)
+        pivots = {}
         for i in range(ctx.n):
             y = 1 << i
-            v = ctx.add(ctx.mul(y, y), y)
-            pre = y
-            while v:
-                hb = v.bit_length() - 1
-                if hb in pivots:
-                    pv, ppre = pivots[hb]
-                    v ^= pv
-                    pre ^= ppre
-                else:
-                    pivots[hb] = (v, pre)
-                    pre = None
-                    break
+            v, pre = _eliminate(pivots, ctx.add(ctx.mul(y, y), y))
+            if v:
+                pivots[v.bit_length() - 1] = (v, pre ^ y)
         ctx._as_solver = pivots
     return ctx._as_solver
 
@@ -98,16 +100,8 @@ def _solve_y2_plus_y(ctx, c):
         return None
     if ctx.n % 2 == 1:
         return half_trace(ctx, c)
-    pivots = _artin_schreier_solver(ctx)
-    y = 0
-    while c:
-        hb = c.bit_length() - 1
-        if hb not in pivots:
-            return None
-        pv, ppre = pivots[hb]
-        c ^= pv
-        y ^= ppre
-    return y
+    rest, y = _eliminate(_artin_schreier_solver(ctx), c)
+    return None if rest else y
 
 
 def solve_quadratic(ctx, u, v):

@@ -138,6 +138,10 @@ def cmd_family(args):
 
 def cmd_scan(args):
     field_params = _family_field_params(args)
+    for name in INT_PARAMS + ELEMENT_PARAMS:
+        if name not in field_params and getattr(args, name) is not None:
+            raise ValueError(f"scan enumerates {args.family}'s other "
+                             f"parameters itself and takes no --{name}")
     modulus = int(args.modulus, 0) if args.modulus else None
     if args.mode == "necessity":
         report = scan_necessity(args.family, field_params, modulus=modulus)

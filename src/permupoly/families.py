@@ -152,18 +152,12 @@ def field_for_family(family, field_params, modulus=None):
     return build_field(p, n, modulus)
 
 
-# family -> ((name, required, allowed), ...) over INT_PARAMS + ELEMENT_PARAMS
-_ROLES = {fam: tuple((name, name in field + enum, name in field + enum + opt)
-                     for name in INT_PARAMS + ELEMENT_PARAMS)
+# family -> ((name, required), ...) in INT_PARAMS + ELEMENT_PARAMS order, over
+# the names it requires (True) and those it does not take (False); its
+# optional names are absent
+_ROLES = {fam: tuple((name, name in field + enum)
+                     for name in INT_PARAMS + ELEMENT_PARAMS if name not in opt)
           for fam, (field, enum, opt) in SCHEMA.items()}
-
-# family -> (names it requires, names it does not take, element names it
-# takes), each in _ROLES order
-_ROLE_NAMES = {fam: (tuple(n for n, required, _ in roles if required),
-                     tuple(n for n, _, allowed in roles if not allowed),
-                     tuple(n for n, _, allowed in roles
-                           if allowed and n in ELEMENT_PARAMS))
-               for fam, roles in _ROLES.items()}
 
 _INT_VALUES = operator.itemgetter(*INT_PARAMS)
 
@@ -176,29 +170,15 @@ def _memo_field_shape(family, *ints):
         family, {n: v for n, v in zip(INT_PARAMS, ints) if v is not None})
 
 
-def _role_error(fam, d):
-    """The first parameter, in _ROLES order, that fam requires and d lacks
-    or that d sets and fam does not take."""
-    for name, required, allowed in _ROLES[fam]:
-        if d[name] is None:
-            if required:
-                return ValueError(f"{fam} requires parameter {name}")
-        elif not allowed:
-            return ValueError(f"{fam} does not take parameter {name}")
-
-
 def validate_params(params):
     d = vars(params)
     fam = d["family"]
     if fam not in SCHEMA:
         raise ValueError(f"unknown family {fam!r}")
-    required, excluded, elements = _ROLE_NAMES[fam]
-    for name in required:
-        if d[name] is None:
-            raise _role_error(fam, d)
-    for name in excluded:
-        if d[name] is not None:
-            raise _role_error(fam, d)
+    for name, required in _ROLES[fam]:
+        if (d[name] is None) == required:
+            raise ValueError(f"{fam} requires parameter {name}" if required
+                             else f"{fam} does not take parameter {name}")
     ctx = d["ctx"]
     try:
         p, n = _memo_field_shape(fam, *_INT_VALUES(d))
@@ -208,7 +188,7 @@ def validate_params(params):
         raise ValueError(f"{fam} with {params.given(INT_PARAMS)} lives in "
                          f"GF({p}^{n}), not {ctx!r}")
     q = ctx.q
-    for name in elements:
+    for name in ELEMENT_PARAMS:
         v = d[name]
         if v is not None and (not isinstance(v, int) or not 0 <= v < q):
             raise ValueError(f"element parameter {name}={v!r} is not in {ctx!r}")
@@ -224,10 +204,6 @@ def _p4_exponents(q, e):
     """P4's allowed r: 1 and q^(e-1)+...+q^2+1 (the same value when e <= 2)."""
     r_big = sum(q ** i for i in range(2, e)) + 1
     return (1, r_big) if r_big != 1 else (1,)
-
-
-def _fmt(ctx, x):
-    return ctx.format_element(x)
 
 
 _X = SparsePoly(X_TERMS)
@@ -247,7 +223,7 @@ def _b_term(b):
 def _entry_member(ctx, name, value, m, exclude, gating=True):
     """Membership clause: value in GF(p^m) minus an excluded set."""
     ok = ctx.in_subfield(m, value) and value not in exclude
-    return ChecklistEntry(name, ok, f"value {_fmt(ctx, value)}", gating)
+    return ChecklistEntry(name, ok, f"value {ctx.format_element(value)}", gating)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +266,10 @@ def _p1_b(ctx, m, k, b, c):
     tail = ((1, _X, 1 << m),) + (((c, _X, 1),) if c else ())
     return (1 << m) + 1, tail, (
         ChecklistEntry("2 does not divide k", k % 2 == 1, f"k={k:d}"),
-        ChecklistEntry("b not in F_2", b not in (0, 1), f"b={_fmt(ctx, b)}"),
+        ChecklistEntry("b not in F_2", b not in (0, 1), f"b={ctx.format_element(b)}"),
         ChecklistEntry("c = b^(1-2^(2m))", c == derived_c,
-                       f"c={_fmt(ctx, c)}, b^{exp_c}={_fmt(ctx, derived_c)}"),
+                       f"c={ctx.format_element(c)}, "
+                       f"b^{exp_c}={ctx.format_element(derived_c)}"),
         ChecklistEntry("c not in F_2", c not in (0, 1),
                        "reported only; the unique-preimage argument uses "
                        "just c = b^(1-2^(2m))", gating=False),
@@ -308,7 +285,10 @@ def _make_p1(ctx, d):
     return CompositePoly(((1, inner, e),) + tail), HypothesisChecklist(entries)
 
 
-def _p2_delta(ctx, m, s, delta):
+# P2's parts take its field parameters as one value, the pair ms = (m, s)
+
+def _p2_delta(ctx, ms, delta):
+    m, s = ms
     inner = _inner((0, delta), (1, 1), (1 << m, 1))
     return ((1, inner, -s),), (
         ChecklistEntry("2 does not divide m", m % 2 == 1, f"m={m:d}"),
@@ -316,7 +296,8 @@ def _p2_delta(ctx, m, s, delta):
     )
 
 
-def _p2_b(ctx, m, s, b):
+def _p2_b(ctx, ms, b):
+    m, s = ms
     mod = (1 << (2 * m)) - 1
     residue = (((1 << m) + 2) * (-s)) % mod
     target = (1 << m) - 1
@@ -330,24 +311,16 @@ def _p2_b(ctx, m, s, b):
     )
 
 
-def _make_p2(ctx, d):
-    m, s = d["m"], d["s"]
-    head, delta_entries = _part(ctx, _p2_delta, m, s, d["delta"])
-    tail, b_entries = _part(ctx, _p2_b, m, s, d["b"])
-    return (CompositePoly(head + tail),
-            HypothesisChecklist(delta_entries + b_entries))
-
-
 def _p3_bprime(ctx, m, bprime):
     return ctx.pow(bprime, 3), ChecklistEntry(
         "bprime in unit circle",
         bprime != 0 and ctx.pow(bprime, (1 << m) + 1) == 1,
-        f"bprime={_fmt(ctx, bprime)}")
+        f"bprime={ctx.format_element(bprime)}")
 
 
 def _p3_b(ctx, m, b):
     return ctx.pow(b, 2 * ((1 << m) - 1)), ChecklistEntry(
-        "b not in F_(2^m)", not ctx.in_subfield(m, b), f"b={_fmt(ctx, b)}")
+        "b not in F_(2^m)", not ctx.in_subfield(m, b), f"b={ctx.format_element(b)}")
 
 
 def _make_p3(ctx, d):
@@ -360,7 +333,7 @@ def _make_p3(ctx, d):
     return poly, HypothesisChecklist((
         bprime_entry, b_entry,
         ChecklistEntry("b^(2(2^m-1)) * bprime^3 = 1", cond == 1,
-                       f"product {_fmt(ctx, cond)}"),
+                       f"product {ctx.format_element(cond)}"),
     ))
 
 
@@ -376,10 +349,10 @@ def _p4_a(ctx, q, e, a):
     target = 1 if e % 2 == 0 else ctx.neg(1)
     gcd_val = math.gcd(e - 1, q - 1)
     return (
-        ChecklistEntry("a != 0", a != 0, f"a={_fmt(ctx, a)}"),
+        ChecklistEntry("a != 0", a != 0, f"a={ctx.format_element(a)}"),
         ChecklistEntry("norm(a) != (-1)^e", norm != target,
-                       f"a^{norm_exp}={_fmt(ctx, norm)}, "
-                       f"(-1)^{e:d}={_fmt(ctx, target)}"),
+                       f"a^{norm_exp}={ctx.format_element(norm)}, "
+                       f"(-1)^{e:d}={ctx.format_element(target)}"),
         ChecklistEntry("gcd(e-1, q-1) = 1", gcd_val == 1, f"gcd = {gcd_val}"),
     )
 
@@ -397,7 +370,7 @@ def _p5_delta(ctx, m, delta):
     tr = ctx.relative_trace(m, delta)
     return ((1, inner, exp),), (
         ChecklistEntry("Tr_m^(2m)(delta) != 0", tr != 0,
-                       f"trace {_fmt(ctx, tr)}"),
+                       f"trace {ctx.format_element(tr)}"),
     )
 
 
@@ -406,10 +379,10 @@ def _p5_b(ctx, m, b):
     lhs = ctx.add(b_pm, b)
     rhs = ctx.mul(b_pm, b)
     return _b_term(b), (
-        ChecklistEntry("b not in F_(2^m)", b_pm != b, f"b={_fmt(ctx, b)}"),
+        ChecklistEntry("b not in F_(2^m)", b_pm != b, f"b={ctx.format_element(b)}"),
         ChecklistEntry(NECESSITY_CLAUSE["P5"], lhs == rhs,
-                       f"b^(2^m)+b={_fmt(ctx, lhs)}, "
-                       f"b^(2^m+1)={_fmt(ctx, rhs)}; this is the form the "
+                       f"b^(2^m)+b={ctx.format_element(lhs)}, "
+                       f"b^(2^m+1)={ctx.format_element(rhs)}; this is the form the "
                        "derivation reaches (an alternate statement reads "
                        "b+b^m, which differs)"),
     )
@@ -421,22 +394,26 @@ def _p6_delta(ctx, k, delta):
     tr = ctx.relative_trace(1, delta)
     return ((1, inner, exp),), (
         ChecklistEntry("k > 1", k > 1, f"k={k:d}"),
-        ChecklistEntry("Tr_1^n(delta) = 1", tr == 1, f"trace {_fmt(ctx, tr)}"),
+        ChecklistEntry("Tr_1^n(delta) = 1", tr == 1, f"trace {ctx.format_element(tr)}"),
     )
 
 
 def _p6_b(ctx, k, b):
     return _b_term(b), (
         ChecklistEntry(NECESSITY_CLAUSE["P6"],
-                       b != 0 and ctx.in_subfield(k, b), f"b={_fmt(ctx, b)}"),
+                       b != 0 and ctx.in_subfield(k, b), f"b={ctx.format_element(b)}"),
     )
 
 
-def _make_b_delta(delta_part, b_part, field_param):
+def _make_b_delta(delta_part, b_part, *field_names):
     """Maker for a family whose poly is (delta part's term) + b*x and whose
-    clauses are the delta part's, then the b part's."""
+    clauses are the delta part's, then the b part's.  Each part takes the
+    value of the field parameters, then its own element: one value for one
+    name, else the tuple of them."""
+    field_value = operator.itemgetter(*field_names)
+
     def make(ctx, d):
-        f = d[field_param]
+        f = field_value(d)
         head, delta_entries = _part(ctx, delta_part, f, d["delta"])
         tail, b_entries = _part(ctx, b_part, f, d["b"])
         return (CompositePoly(head + tail),
@@ -446,7 +423,7 @@ def _make_b_delta(delta_part, b_part, field_param):
 
 _MAKERS = {
     "P1": _make_p1,
-    "P2": _make_p2,
+    "P2": _make_b_delta(_p2_delta, _p2_b, "m", "s"),
     "P3": _make_p3,
     "P4": _make_p4,
     "P5": _make_b_delta(_p5_delta, _p5_b, "m"),
@@ -482,9 +459,20 @@ def _domains(family, fp, elems):
 
 
 def check_enumeration_guard(family, field_params):
-    """Size of the parameter domain, computed before any field is built."""
+    """Size of the parameter domain, computed before any field is built,
+    from q = p^n and the count of P4's allowed r (1 when e <= 2, else 2).
+    Every domain has at least q - 1 tuples, so a q whose bit length alone
+    puts q - 1 above the guard is refused before q is computed."""
     p, n = family_field_shape(family, field_params)
-    size = math.prod(map(len, _domains(family, field_params, range(p ** n))))
+    if n * (p.bit_length() - 1) > ENUMERATION_GUARD.bit_length():
+        raise ValueError(f"parameter space over GF({p}^{n}) has at least "
+                         f"q - 1 combinations, above the guard of "
+                         f"{ENUMERATION_GUARD}")
+    q = p ** n
+    if family == "P4":
+        size = (1 if field_params["e"] <= 2 else 2) * (q - 1)
+    else:
+        size = (q - 1 if family == "P6" else q) * q
     if size > ENUMERATION_GUARD:
         raise ValueError(f"parameter space has {size} combinations, "
                          f"above the guard of {ENUMERATION_GUARD}")

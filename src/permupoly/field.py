@@ -405,24 +405,23 @@ class FieldCtx:
             return self._exp[(self._log[a] + self._log[b]) % self._qm1]
         return self._mul_notable(a, b)
 
+    def _pow_notable(self, a, e):
+        """a^e for e >= 0 as given, by table-free square-and-multiply."""
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self._mul_notable(acc, a)
+            a = self._mul_notable(a, a)
+            e >>= 1
+        return acc
+
     def pow(self, a, e):
         """a^e with exponents reduced mod q-1 for a != 0; 0^0 = 1, 0^e = 0."""
         if a == 0:
             return 1 if e == 0 else 0
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % self._qm1]
-        e %= self._qm1
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self._mul_notable(acc, base)
-            base = self._mul_notable(base, base)
-            e >>= 1
-        return acc
-
-    def pow_flagged(self, a, e):
-        """Like pow, plus a flag marking the 0-base-negative-exponent case."""
-        return self.pow(a, e), (a == 0 and e < 0)
+        return self._pow_notable(a, e % self._qm1)
 
     def inv(self, a):
         if a == 0:
@@ -439,19 +438,9 @@ class FieldCtx:
         return self.pow(x, self.p ** (i % self.n))
 
     def relative_trace(self, m, x):
-        """Trace onto the degree-m subfield: sum of x^(p^(m*i)), i < n/m.
-
-        With tables, each conjugate is an exp-table read: x^(p^m) has log
-        p^m * log x."""
+        """Trace onto the degree-m subfield: sum of x^(p^(m*i)), i < n/m."""
         if self.n % m != 0:
             raise ValueError(f"m={m} does not divide the extension degree {self.n}")
-        if self._log is not None and x != 0:
-            exp, qm1, step = self._exp, self._qm1, self.p ** m
-            k, acc = self._log[x], 0
-            for _ in range(self.n // m):
-                acc = acc ^ exp[k] if self.p == 2 else self.add(acc, exp[k])
-                k = k * step % qm1
-            return acc
         acc, y = x, x
         for _ in range(self.n // m - 1):
             y = self.frobenius(y, m)
@@ -573,11 +562,8 @@ class FieldCtx:
         """Field sum of a 1-d array of codes."""
         if self.p == 2:
             return int(np.bitwise_xor.reduce(A)) if len(A) else 0
-        if len(A) == 0:
-            return 0
-        pw = self.p ** np.arange(self.n, dtype=np.int64)
-        da = (np.asarray(A)[..., None] // pw) % self.p
-        return int((da.sum(axis=0) % self.p * pw).sum())
+        digits = _digit_matrix(A, self.p, self.n).sum(axis=1) % self.p
+        return _code_of([int(d) for d in digits], self.p)
 
     # -- text ---------------------------------------------------------------
 
@@ -712,27 +698,16 @@ def _generator_powers(ctx, walk=TABLE_WALK, block=TABLE_BLOCK, out=None):
     return exp
 
 
-def _find_generator(ctx_mul, q, candidates):
-    qm1 = q - 1
+def _find_generator(ctx, candidates):
+    """The first candidate of full multiplicative order, by table-free
+    powers; a^(q-1) = 1 is checked on the unreduced exponent."""
+    qm1 = ctx.q - 1
     if qm1 == 1:
         return 1
     prime_divs = _prime_factors(qm1)
-
-    def order_is_full(a):
-        def pw(base, e):
-            acc = 1
-            while e:
-                if e & 1:
-                    acc = ctx_mul(acc, base)
-                base = ctx_mul(base, base)
-                e >>= 1
-            return acc
-        if pw(a, qm1) != 1:
-            return False
-        return all(pw(a, qm1 // r) != 1 for r in prime_divs)
-
     for a in candidates:
-        if order_is_full(a):
+        if ctx._pow_notable(a, qm1) == 1 and all(
+                ctx._pow_notable(a, qm1 // r) != 1 for r in prime_divs):
             return a
     raise ValueError("no generator found (modulus not irreducible?)")
 
@@ -775,7 +750,7 @@ def build_field(p, n, modulus=None, tables=True):
     q = p ** n
     ctx = FieldCtx(p, n, mod)
     # for n >= 2, codes below p are GF(p) elements, of order dividing p - 1 < q - 1
-    ctx.generator = _find_generator(ctx._mul_notable, q, range(p if n > 1 else 1, q))
+    ctx.generator = _find_generator(ctx, range(p if n > 1 else 1, q))
     if tables and q <= TABLE_BOUND:
         ctx._build_tables()
     return ctx

@@ -221,22 +221,15 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
 
 
 def scan_sufficiency(family, field_params, modulus=None, ctx=None,
-                     workers=None, row_cap=ROW_CAP):
-    """Check that every hypothesis-satisfying tuple yields a permutation.
-
-    workers is accepted and selects nothing: scans run on the calling
-    thread."""
+                     row_cap=ROW_CAP):
+    """Check that every hypothesis-satisfying tuple yields a permutation."""
     return _scan(family, field_params, "sufficiency", modulus, ctx, row_cap,
                  SAMPLE_THRESHOLD)
 
 
 def scan_necessity(family, field_params, modulus=None, ctx=None,
-                   workers=None, row_cap=ROW_CAP,
-                   sample_threshold=SAMPLE_THRESHOLD):
-    """Confusion-matrix test of the designated condition (P5, P6 only).
-
-    workers is accepted and selects nothing: scans run on the calling
-    thread."""
+                   row_cap=ROW_CAP, sample_threshold=SAMPLE_THRESHOLD):
+    """Confusion-matrix test of the designated condition (P5, P6 only)."""
     return _scan(family, field_params, "necessity", modulus, ctx, row_cap,
                  sample_threshold)
 

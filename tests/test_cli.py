@@ -297,6 +297,46 @@ def test_schema_driven_flag_errors(capsys, cmd, family, drop, extra, message):
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("family", sorted(SCHEMA))
+def test_scan_refuses_flags_it_would_ignore(capsys, family):
+    # a scan enumerates everything but the field parameters itself
+    field_names = SCHEMA[family][0]
+    values = {k: v for k, v in FAMILY_FLAGS[family].items() if k in field_names}
+    for name in INT_PARAMS + ELEMENT_PARAMS:
+        if name not in field_names:
+            code, out, err = run(capsys, "scan", "--family", family,
+                                 *_flags({**values, name: "1"}))
+            assert (code, out) == (2, "")
+            assert err == (f"error: scan enumerates {family}'s other "
+                           f"parameters itself and takes no --{name}\n")
+
+
+@pytest.mark.parametrize("flags, command", [
+    (["--family", "P4", "--q", "3", "--e", "2"],
+     "permupoly scan --family P4 --mode sufficiency --e 2 --q 3 --modulus 0xa"),
+    (["--family", "P6", "--k", "2", "--mode", "necessity"],
+     "permupoly scan --family P6 --mode necessity --k 2 --modulus 0x13"),
+])
+def test_scan_command_text(tmp_path, capsys, flags, command):
+    out = tmp_path / "r.json"
+    code, _, _ = run(capsys, "scan", *flags, "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["command"] == (
+        f"{command} --out {out} --format json")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "P6", "--k", "1000"],
+    ["--family", "P4", "--q", "5", "--e", "200000"],
+])
+def test_scan_of_a_huge_field_fails_fast(capsys, flags):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", *flags)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parameter space over GF(") and "guard" in err
+
+
 def test_vacuous_pass_warns(capsys):
     code, out, err = run(capsys, "scan", "--family", "P4", "--q", "4", "--e", "1")
     assert code == 0

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import re
+import time
 
 import pytest
 
@@ -284,6 +285,49 @@ def test_invalid_params_raise_the_same_with_a_warm_memo(gf16):
         f"P6 with {{'k': 3}} lives in GF(2^6), not {gf16!r}")
 
 
+def reference_role_error(fam, d):
+    """The first parameter, in INT_PARAMS + ELEMENT_PARAMS order, that fam
+    requires and d lacks or that d sets and fam does not take: the walk
+    validate_params once made over a table of (name, required, allowed)."""
+    field, enum, opt = families.SCHEMA[fam]
+    for name in families.INT_PARAMS + families.ELEMENT_PARAMS:
+        required, allowed = name in field + enum, name in field + enum + opt
+        if d[name] is None:
+            if required:
+                return f"{fam} requires parameter {name}"
+        elif not allowed:
+            return f"{fam} does not take parameter {name}"
+
+
+# one valid value for each of the 11 parameters, per family; a value for a
+# parameter the family does not take is never read past the role check
+ROLE_VALUES = {
+    "P1": dict(m=2, k=3, b=2, delta=3, c=5),
+    "P2": dict(m=3, s=6, b=9, delta=18),
+    "P3": dict(m=2, bprime=3, b=1),
+    "P4": dict(q=5, e=2, r=1, a=1),
+    "P5": dict(m=2, b=1, delta=2),
+    "P6": dict(k=2, b=5, delta=1),
+}
+
+
+@pytest.mark.parametrize("family", families.FAMILY_IDS)
+def test_validation_matches_the_reference_walk(family):
+    names = families.INT_PARAMS + families.ELEMENT_PARAMS
+    values = {n: ROLE_VALUES[family].get(n, 1) for n in names}
+    ctx = field_for_family(family, {n: values[n] for n in families.SCHEMA[family][0]})
+    for pattern in range(1 << len(names)):
+        d = {n: values[n] if pattern >> i & 1 else None
+             for i, n in enumerate(names)}
+        want = reference_role_error(family, d)
+        params = params_for(family, ctx, **d)
+        if want is None:
+            make_family(params)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                make_family(params)
+
+
 def test_bool_integer_parameter_reads_as_its_int(gf4):
     # True validates as k = 1 and shares k = 1's memo entries
     as_int = make_family(params_for("P6", gf4, k=1, b=1, delta=1))
@@ -349,6 +393,31 @@ def test_enumeration_guard():
         check_enumeration_guard("P5", {"m": 13})
     with pytest.raises(ValueError, match="guard"):
         list(enumerate_params("P5", {"m": 13}))
+
+
+@pytest.mark.parametrize("family, field_params", [
+    ("P6", {"k": 40}), ("P6", {"k": 1000}), ("P1", {"m": 7, "k": 10 ** 6}),
+    ("P4", {"q": 5, "e": 200000}), ("P4", {"q": 3, "e": 10 ** 9}),
+])
+def test_enumeration_guard_fails_fast_on_huge_fields(family, field_params):
+    # refused from the bit length of q, before q, any domain or P4's r is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="guard"):
+        check_enumeration_guard(family, field_params)
+    with pytest.raises(ValueError, match="guard"):
+        next(enumerate_params(family, field_params))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("family, field_params", [
+    ("P1", {"m": 1, "k": 4}), ("P1", {"m": 2, "k": 3}), ("P2", {"m": 2, "s": 1}),
+    ("P3", {"m": 3}), ("P4", {"q": 3, "e": 1}), ("P4", {"q": 4, "e": 2}),
+    ("P4", {"q": 3, "e": 3}), ("P4", {"q": 2, "e": 5}), ("P5", {"m": 2}),
+    ("P6", {"k": 1}), ("P6", {"k": 3}),
+])
+def test_enumeration_guard_counts_the_domain(family, field_params):
+    assert check_enumeration_guard(family, field_params) == sum(
+        1 for _ in iter_family(family, field_params))
 
 
 def test_iter_family_yields_checklists(gf625):

@@ -116,10 +116,7 @@ def test_pow_conventions(gf64):
         assert gf64.pow(a, 0) == 1
     assert gf64.pow(0, 0) == 1
     assert gf64.pow(0, 7) == 0
-    val, flagged = gf64.pow_flagged(0, -3)
-    assert val == 0 and flagged
-    _, not_flagged = gf64.pow_flagged(5, -3)
-    assert not not_flagged
+    assert gf64.pow(0, -3) == 0
     # exponents mod q-1 = 63
     for b in range(1, 64):
         assert gf64.pow(b, -15) == gf64.pow(b, 48)
@@ -160,7 +157,7 @@ def test_relative_trace(gf4, gf64, gf256):
 
 def frobenius_trace(ctx, m, x):
     """Tr onto GF(p^m) as the sum of x^(p^(m*i)), each conjugate by
-    table-free square-and-multiply."""
+    table-free square-and-multiply on _mul_notable."""
     acc, y = x, x
     for _ in range(ctx.n // m - 1):
         y = _scalar_pow(ctx, y, ctx.p ** m)
@@ -168,17 +165,29 @@ def frobenius_trace(ctx, m, x):
     return acc
 
 
-@pytest.mark.parametrize("p,n,ms", [(2, 8, (1, 2, 4, 8)), (2, 6, (1, 2, 3)),
-                                    (3, 4, (1, 2))])
-def test_relative_trace_tables_match_frobenius_sum(monkeypatch, p, n, ms):
+# every m dividing n, on every x, with and without tables
+@pytest.mark.parametrize("p,n,ms", [(2, 8, (1, 2, 4, 8)), (2, 6, (1, 2, 3, 6)),
+                                    (3, 4, (1, 2, 4)), (5, 4, (1, 2, 4))])
+def test_relative_trace_tables_match_frobenius_sum(p, n, ms):
     ctx = build_field(p, n)
-    monkeypatch.setattr(field, "TABLE_BOUND", 1)
-    tablefree = build_field(p, n)
+    tablefree = build_field(p, n, tables=False)
     assert ctx.has_tables and not tablefree.has_tables
+    assert ms == tuple(m for m in range(1, n + 1) if n % m == 0)
     for m in ms:
         want = [frobenius_trace(ctx, m, x) for x in range(ctx.q)]
         assert [ctx.relative_trace(m, x) for x in range(ctx.q)] == want
         assert [tablefree.relative_trace(m, x) for x in range(ctx.q)] == want
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 4), (5, 3)])
+def test_field_sum_vec_matches_scalar_fold(p, n):
+    ctx = build_field(p, n)
+    A = np.array(random.Random(p ** n).choices(range(ctx.q), k=3 * ctx.q))
+    for k in (0, 1, 2, len(A)):
+        want = 0
+        for a in A[:k].tolist():
+            want = ctx.add(want, a)
+        assert ctx.field_sum_vec(A[:k]) == want
 
 
 def test_subfield_elements(gf64, gf256):

@@ -126,7 +126,7 @@ def test_reduce_example6_pointwise(gf256):
 
 def test_reduce_random_pointwise(gf64, gf625):
     rng = random.Random(31337)
-    for ctx in (gf64, gf625):
+    for ctx in (gf64, gf625, build_field(3, 4), build_field(5, 3)):
         for _ in range(5):
             terms = [(rng.randrange(200), rng.randrange(1, ctx.q))
                      for _ in range(3)]

@@ -6,6 +6,7 @@ import pytest
 import permupoly.scan as scan_mod
 from permupoly import (load_report, scan_necessity, scan_sufficiency,
                        write_report)
+from permupoly.families import field_for_family
 from permupoly.scan import report_json
 
 
@@ -62,18 +63,11 @@ def test_empty_scan_valid_schema(gf4):
         assert key in d
 
 
-def test_worker_independence(gf256):
-    reports = [scan_necessity("P6", {"k": 2}, workers=w) for w in (1, 2, 5)]
-    dicts = [strip_timing(r) for r in reports]
-    assert dicts[0] == dicts[1] == dicts[2]
-    rows = [r.rows for r in reports]
-    assert rows[0] == rows[1] == rows[2]
-
-
 def test_threads_env(monkeypatch):
     monkeypatch.setenv("PERMUPOLY_THREADS", "3")
     rep = scan_necessity("P6", {"k": 2})
-    ref = scan_necessity("P6", {"k": 2}, workers=1)
+    monkeypatch.delenv("PERMUPOLY_THREADS")
+    ref = scan_necessity("P6", {"k": 2})
     assert strip_timing(rep) == strip_timing(ref)
 
 
@@ -116,8 +110,8 @@ def test_sampled_necessity_deterministic():
     # force the stride path with a tiny threshold
     full = scan_necessity("P6", {"k": 2}, sample_threshold=50)
     assert full.sampled
-    again = [scan_necessity("P6", {"k": 2}, sample_threshold=50, workers=w)
-             for w in (1, 3)]
+    again = [scan_necessity("P6", {"k": 2}, sample_threshold=50)
+             for _ in range(2)]
     assert strip_timing(again[0]) == strip_timing(again[1])
     # condition-true side stays exhaustive
     assert full.confusion["tt"] + full.confusion["tf"] == 24
@@ -227,7 +221,7 @@ def test_scan_runs_on_calling_thread(monkeypatch):
     monkeypatch.setattr(families_mod, "make_family",
                         recording(families_mod.make_family))
     monkeypatch.setenv("PERMUPOLY_THREADS", "3")
-    scan_necessity("P6", {"k": 3}, workers=3)
+    scan_necessity("P6", {"k": 3})
     scan_necessity("P6", {"k": 2}, sample_threshold=50)
     assert threads == {threading.get_ident()}
 
@@ -262,14 +256,19 @@ PINNED_SCANS = [
 ]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+# scans: how many scans run over one field; the last report is pinned, so
+# the [...-3] cases read the terms, clauses and base powers that the first
+# two scans left in the field's memos
+@pytest.mark.parametrize("scans", [1, 3])
 @pytest.mark.parametrize("family, field_params, kwargs, json_sha, csv_sha",
                          PINNED_SCANS, ids=["P1", "P2", "P3", "P4-5^2", "P4-3^3",
                                            "P5", "P6", "P6-sampled"])
-def test_pinned_report_bytes(tmp_path, workers, family, field_params, kwargs,
+def test_pinned_report_bytes(tmp_path, scans, family, field_params, kwargs,
                              json_sha, csv_sha):
     scan = scan_necessity if family in ("P5", "P6") else scan_sufficiency
-    rep = scan(family, field_params, workers=workers, **kwargs)
+    ctx = field_for_family(family, field_params)
+    for _ in range(scans):
+        rep = scan(family, field_params, ctx=ctx, **kwargs)
     rep.duration_ms = 0.0
     path = tmp_path / "r.csv"
     write_report(rep, str(path), fmt="csv")
