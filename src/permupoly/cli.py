@@ -14,7 +14,7 @@ import sys
 from .circle import decompose, solve_quadratic, sqrt_char2
 from .families import (ELEMENT_PARAMS, FAMILY_IDS, INT_PARAMS, SCHEMA,
                        FamilyParams, field_for_family, make_family)
-from .field import TABLE_BOUND, build_field, parse_field_descriptor
+from .field import build_field, parse_field_descriptor
 from .perm import is_complete_permutation, is_permutation, lemma1_check
 from .poly import SparsePoly, parse_poly, to_text
 from .scan import scan_necessity, scan_sufficiency, write_report
@@ -42,15 +42,14 @@ def _write_out(args, payload):
 
 
 def cmd_field_info(args):
-    # the description reads no table; a field that has them names g as g^1
+    # the description reads no table; format_element would name g as g^1
     ctx = _field_from_args(args, tables=False)
-    tables = ctx.q <= TABLE_BOUND
-    gen = "g^1" if tables and ctx.generator != 1 else ctx.format_element(ctx.generator)
+    gen = "g^1" if ctx.generator != 1 else "1"
     print(f"field GF({ctx.p}^{ctx.n}), q = {ctx.q}")
     print(f"modulus {hex(ctx.modulus_code)} (coefficients, constant first: "
           f"{list(ctx.modulus)})")
     print(f"generator {gen} = code {ctx.generator}")
-    print(f"log tables: {'yes' if tables else 'no'}")
+    print("log tables: yes")
     divisors = [m for m in range(1, ctx.n + 1) if ctx.n % m == 0]
     print(f"subfield degrees: {divisors}")
     _write_out(args, {"p": ctx.p, "n": ctx.n, "q": ctx.q,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import _prime_factors, build_field
+from .field import _prime_factors, build_field, check_order
 from .poly import X_TERMS, CompositePoly, SparsePoly, evaluate, evaluate_all
 
 # clause tested by scan_necessity, per family
@@ -117,7 +117,9 @@ class FamilyParams:
         return out
 
 
-def _prime_power(q):
+def _prime_power(q, e):
+    """(p, j) with q = p^j, once q^e, P4's field order, is within the bound."""
+    check_order(q, e)
     primes = _prime_factors(q)
     if len(primes) != 1:
         raise ValueError(f"q={q} is not a prime power")
@@ -143,7 +145,7 @@ def family_field_shape(family, fp):
         return 2, 2 * fp["m"]
     if family == "P6":
         return 2, 2 * fp["k"]
-    p, j = _prime_power(fp["q"])
+    p, j = _prime_power(fp["q"], fp["e"])
     return p, j * fp["e"]
 
 
@@ -460,15 +462,9 @@ def _domains(family, fp, elems):
 
 def check_enumeration_guard(family, field_params):
     """Size of the parameter domain, computed before any field is built,
-    from q = p^n and the count of P4's allowed r (1 when e <= 2, else 2).
-    Every domain has at least q - 1 tuples, so a q whose bit length alone
-    puts q - 1 above the guard is refused before q is computed."""
-    p, n = family_field_shape(family, field_params)
-    if n * (p.bit_length() - 1) > ENUMERATION_GUARD.bit_length():
-        raise ValueError(f"parameter space over GF({p}^{n}) has at least "
-                         f"q - 1 combinations, above the guard of "
-                         f"{ENUMERATION_GUARD}")
-    q = p ** n
+    from q = p^n and the count of P4's allowed r (1 when e <= 2, else 2);
+    a field above the size bound is refused before q is computed."""
+    q = check_order(*family_field_shape(family, field_params))
     if family == "P4":
         size = (1 if field_params["e"] <= 2 else 2) * (q - 1)
     else:

@@ -3,30 +3,36 @@
 Elements are plain Python ints: the coefficient vector (c_0, ..., c_{n-1})
 over GF(p) is packed as the base-p integer sum(c_i * p^i), so the constant
 term is the least significant digit.  For p = 2 this is the usual bit
-vector.  A FieldCtx owns the modulus, a generator, and (for q <= 2^24)
-discrete-log tables, which are read-only numpy arrays; all operations are
-pure and the context is immutable after construction, apart from the
-bounded memo of composite powers that poly.evaluate_all keeps in it.
+vector.  A FieldCtx owns the modulus, a generator, and discrete-log
+tables, which are read-only numpy arrays; every field has them, since
+check_order refuses any q above TABLE_BOUND before work starts.  All
+operations are pure and the context is immutable after construction, apart
+from the bounded memo of composite powers that poly.evaluate_all keeps in it.
 """
-
-import itertools
-import math
 
 import numpy as np
 
-TABLE_BOUND = 1 << 24       # largest q with log tables, and so with an exhaustive check
+TABLE_BOUND = 1 << 24       # largest field order: every field has log tables
 TABLE_WALK = 64             # generator powers the table build takes by scalar multiply
 TABLE_BLOCK = 1 << 12       # generator powers per block step of the table build
-TRIAL_DIVISION_BOUND = 1 << 20  # _prime_factors trial-divides up to here
-RHO_BUDGET = 1 << 20        # Pollard rho iterations before _prime_factors gives up
-RHO_BATCH = 128             # rho steps per gcd
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def bound_text(bound):
     """A size bound as messages print it: 2^k for a power of two."""
     k = bound.bit_length() - 1
     return f"2^{k}" if bound == 1 << k else str(bound)
+
+
+def check_order(p, n):
+    """p^n, or ValueError when it exceeds TABLE_BOUND.  The one size check:
+    a p^n too large by bit lengths alone is refused before it is computed,
+    so no caller factors, tables or enumerates a field above the bound."""
+    if n * (p.bit_length() - 1) < TABLE_BOUND.bit_length():
+        q = p ** n
+        if q <= TABLE_BOUND:
+            return q
+    raise ValueError(f"GF({p}^{n}) is out of scope: fields are limited "
+                     f"to q <= {bound_text(TABLE_BOUND)}")
 
 
 class ReducibleModulusError(ValueError):
@@ -113,85 +119,17 @@ def _frob_power(mod, k, p):
     return t
 
 
-def _is_probable_prime(n):
-    """Miller-Rabin on the first 13 prime bases; deterministic for
-    n < 3.3 * 10^24 (Sorenson-Webster 2015)."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        y = pow(b, d, n)
-        if y == 1 or y == n - 1:
-            continue
-        for _ in range(s - 1):
-            y = y * y % n
-            if y == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_factor(n):
-    """A nontrivial factor of the composite n by Pollard's rho (Brent's
-    cycle search, one gcd per RHO_BATCH steps); ValueError once RHO_BUDGET
-    steps are spent."""
-    steps = 0
-    for c in itertools.count(1):
-        y, r, acc, d = 2, 1, 1, 1
-        while d == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and d == 1:
-                ys = y
-                for _ in range(min(RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    acc = acc * abs(x - y) % n
-                k += RHO_BATCH
-                d = math.gcd(acc, n)
-            steps += 2 * r
-            if steps > RHO_BUDGET:
-                raise ValueError(f"cannot factor {n} within {RHO_BUDGET} "
-                                 "steps of Pollard's rho")
-            r *= 2
-        if d == n:      # the batch overshot: replay it one gcd per step
-            d = 1
-            while d == 1:
-                ys = (ys * ys + c) % n
-                d = math.gcd(abs(x - ys), n)
-        if d != n:
-            return d
-
-
 def _prime_factors(n):
-    """Distinct prime factors of n, ascending: trial division up to
-    TRIAL_DIVISION_BOUND, then Miller-Rabin and Pollard's rho on what is
-    left.  Raises ValueError when rho runs out of steps."""
-    out = []
-    d = 2
-    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
+    """Distinct prime factors of n, ascending, by trial division: at most
+    2^12 steps for the n <= TABLE_BOUND the field build factors."""
+    out, d = [], 2
+    while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m < TRIAL_DIVISION_BOUND ** 2 or _is_probable_prime(m):
-            out.append(m)
-        else:
-            f = _rho_factor(m)
-            stack += [f, m // f]
-    return sorted(set(out))
+    return out + [n] if n > 1 else out
 
 
 def _clmod(a, f, n):
@@ -300,9 +238,11 @@ def canonical_modulus(p, n):
 # ---------------------------------------------------------------------------
 
 class FieldCtx:
-    """A concrete GF(p^n): modulus, generator, codec, and optional log tables.
+    """A concrete GF(p^n): modulus, generator, codec, and log tables.
 
-    Do not construct directly; use build_field.
+    Do not construct directly; use build_field.  A context built with
+    tables=False has only the modulus, the generator and the _notable
+    arithmetic.
     """
 
     def __init__(self, p, n, modulus):
@@ -401,9 +341,7 @@ class FieldCtx:
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % self._qm1]
-        return self._mul_notable(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % self._qm1]
 
     def _pow_notable(self, a, e):
         """a^e for e >= 0 as given, by table-free square-and-multiply."""
@@ -419,16 +357,12 @@ class FieldCtx:
         """a^e with exponents reduced mod q-1 for a != 0; 0^0 = 1, 0^e = 0."""
         if a == 0:
             return 1 if e == 0 else 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % self._qm1]
-        return self._pow_notable(a, e % self._qm1)
+        return self._exp[(self._log[a] * e) % self._qm1]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return self._exp[(-self._log[a]) % self._qm1]
-        return self.pow(a, self._qm1 - 1)
+        return self._exp[(-self._log[a]) % self._qm1]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -450,28 +384,17 @@ class FieldCtx:
     def log(self, a):
         if a == 0:
             raise ValueError("0 has no discrete logarithm")
-        if self._log is not None:
-            return self._log[a]
-        raise ValueError(f"field has no log tables (q > {bound_text(TABLE_BOUND)})")
+        return self._log[a]
 
     def gen_pow(self, k):
         """Code of generator^k."""
-        if self._exp is not None:
-            return self._exp[k % self._qm1]
-        return self.pow(self.generator, k)
+        return self._exp[k % self._qm1]
 
     # -- enumeration --------------------------------------------------------
 
     def elements_in_order(self):
         """Canonical enumeration: 0 first, then ascending generator powers."""
-        if self._exp is not None:
-            return [0, *self._exp]
-        out = [0]
-        x = 1
-        for _ in range(self._qm1):
-            out.append(x)
-            x = self._mul_notable(x, self.generator)
-        return out
+        return [0, *self._exp]
 
     def subfield_elements(self, m):
         """All p^m elements fixed by the m-th Frobenius power, 0 first."""
@@ -488,8 +411,7 @@ class FieldCtx:
 
     def _tables(self):
         if self._E is None:
-            raise ValueError("vector arithmetic needs log tables "
-                             f"(q <= {bound_text(TABLE_BOUND)})")
+            raise ValueError(f"{self!r} was built without log tables")
         return self._E, self._L
 
     def add_vec(self, A, B):
@@ -572,9 +494,7 @@ class FieldCtx:
             return "0"
         if a == 1:
             return "1"
-        if self._log is not None:
-            return f"g^{self._log[a]}"
-        return hex(a)
+        return f"g^{self._log[a]}"
 
     def parse_element(self, text):
         """Element syntax: 0, 1, g^k, g, or a packed 0x/0b code."""
@@ -717,15 +637,15 @@ def build_field(p, n, modulus=None, tables=True):
 
     modulus may be a coefficient tuple/list (ascending, monic, degree n) or a
     packed integer code; default is the canonical smallest irreducible.
-    Log tables are built for q <= TABLE_BOUND unless tables is false, for
-    callers that read only the modulus and the generator.
+    Log tables are built unless tables is false, for callers that read only
+    the modulus and the generator.  A field above TABLE_BOUND is refused
+    first, before p is tested or a modulus is searched for.
     """
-    if not _is_probable_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if p >= 1 << 20:
-        raise ValueError("characteristic above 2^20 is out of scope")
     if n < 1:
         raise ValueError("extension degree must be positive")
+    q = check_order(p, n)
+    if _prime_factors(p) != [p]:
+        raise ValueError(f"p={p} is not prime")
 
     if modulus is None:
         mod = canonical_modulus(p, n)
@@ -747,11 +667,10 @@ def build_field(p, n, modulus=None, tables=True):
                 f"modulus {hex(_code_of(mod, p))} is reducible over GF({p}); "
                 f"divisible by {ftext}", factor)
 
-    q = p ** n
     ctx = FieldCtx(p, n, mod)
     # for n >= 2, codes below p are GF(p) elements, of order dividing p - 1 < q - 1
     ctx.generator = _find_generator(ctx, range(p if n > 1 else 1, q))
-    if tables and q <= TABLE_BOUND:
+    if tables:
         ctx._build_tables()
     return ctx
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import field
 from .poly import CompositePoly, SparsePoly, evaluate, evaluate_all, eval_sparse
 
 WITNESS_CHUNK = 1 << 12     # positions after 0 the witness search walks with a dict;
@@ -88,19 +87,6 @@ def _first_collision(ctx, values):
     return None
 
 
-def check_size(q):
-    """Refuse a field of order q above the table bound, before any work."""
-    if q > field.TABLE_BOUND:
-        raise ValueError(f"exhaustive permutation check is limited to "
-                         f"q <= {field.bound_text(field.TABLE_BOUND)} (got q={q})")
-
-
-def _values(ctx, f):
-    """f's values in canonical order, for q within the exhaustive check's bound."""
-    check_size(ctx.q)
-    return evaluate_all(ctx, f, "canonical")
-
-
 def _report(ctx, f, values):
     """The verdict on f from its values, each side checked a second way: a
     full image by a scatter independent of the count, a witness by scalar
@@ -121,7 +107,7 @@ def _report(ctx, f, values):
 
 def is_permutation(ctx, f):
     """Exhaustive permutation check with a verified collision witness."""
-    return _report(ctx, f, _values(ctx, f))
+    return _report(ctx, f, evaluate_all(ctx, f, "canonical"))
 
 
 def is_complete_permutation(ctx, f):
@@ -130,7 +116,7 @@ def is_complete_permutation(ctx, f):
     f is evaluated once; the values of f + x are its values plus the
     points in canonical order, 0 then the exp table.
     """
-    values = _values(ctx, f)
+    values = evaluate_all(ctx, f, "canonical")
     shifted = ctx.add_vec(values, ctx._P)
     rep = _report(ctx, f, values)
     rep_shift = _report(ctx, f.plus_x(), shifted)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from .families import (ELEMENT_PARAMS, INT_PARAMS, NECESSITY_CLAUSE,
                        check_enumeration_guard, family_field_shape,
                        field_for_family, iter_family)
-from .perm import check_size, is_permutation
+from .perm import is_permutation
 
 DISCREPANCY_CAP = 100
 ROW_CAP = 1 << 17
@@ -151,7 +151,6 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
         raise ValueError(f"necessity scans exist only for "
                          f"{sorted(NECESSITY_CLAUSE)}; got {family}")
     p, n = family_field_shape(family, field_params)
-    check_size(p ** n)
     work = scan_work(domain, p ** n)
     if work > WORK_GUARD:
         raise ValueError(f"scan work estimate {work:.3g} ({domain} tuples, each "

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from permupoly import circle, field, scan
+from permupoly import circle, families, field, scan
 from permupoly.cli import main
 from permupoly.families import ELEMENT_PARAMS, INT_PARAMS, SCHEMA
 
@@ -163,15 +163,15 @@ def test_decompose_cli(capsys):
 
 
 def test_decompose_cli_counts_the_circle_without_listing_it(capsys, monkeypatch):
-    # above the table bound each circle element costs a scalar pow
+    # the size is 2^m + 1; listing the circle's 4,097 points is not needed
     def refuse(*args):
         raise AssertionError("decompose listed the unit circle")
 
     monkeypatch.setattr(circle, "unit_circle", refuse)
     monkeypatch.setattr(circle, "mu_d_roots", refuse)
-    code, out, _ = run(capsys, "decompose", "--field", "2^32", "--x", "g^7")
+    code, out, _ = run(capsys, "decompose", "--field", "2^24", "--x", "g^7")
     assert code == 0
-    assert "unit circle size: 65537" in out.splitlines()
+    assert "unit circle size: 4097" in out.splitlines()
 
 
 def test_solve_quad_cli(capsys):
@@ -231,14 +231,19 @@ def test_field_info_names_generator_as_tables_do(capsys):
 
 
 def test_field_info_large_char2(capsys, monkeypatch):
-    # q - 1 = 2^61 - 1 is prime; trial division alone would take minutes
-    code, out, _ = run(capsys, "field-info", "--field", "2^61")
-    assert code == 0
-    assert "q = 2305843009213693952" in out and "log tables: no" in out
-    # q - 1 = 2^67 - 1 needs Pollard's rho; out of steps, the CLI exits 2
-    monkeypatch.setattr(field, "RHO_BUDGET", 1 << 8)
-    code, _, err = run(capsys, "field-info", "--field", "2^67")
-    assert code == 2 and "cannot factor 147573952589676412927" in err
+    # above the bound field-info refuses at once: no modulus search, no factoring
+    def refuse(*args):
+        raise AssertionError("field-info worked on a field above the bound")
+
+    monkeypatch.setattr(field, "canonical_modulus", refuse)
+    monkeypatch.setattr(field, "_prime_factors", refuse)
+    for n in (61, 67):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "field-info", "--field", f"2^{n}")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: GF(2^{n}) is out of scope: "
+                       "fields are limited to q <= 2^24\n")
 
 
 def test_field_descriptor_with_modulus(capsys):
@@ -325,16 +330,46 @@ def test_scan_command_text(tmp_path, capsys, flags, command):
         f"{command} --out {out} --format json")
 
 
+def refuse_work(monkeypatch):
+    """Make a modulus search or the factoring of P4's q fail the test."""
+    def refuse(*args):
+        raise AssertionError("worked on a field above the bound")
+
+    monkeypatch.setattr(field, "canonical_modulus", refuse)
+    monkeypatch.setattr(families, "_prime_factors", refuse)
+
+
 @pytest.mark.parametrize("flags", [
     ["--family", "P6", "--k", "1000"],
     ["--family", "P4", "--q", "5", "--e", "200000"],
+    ["--family", "P4", "--q", str(2 ** 61 - 1), "--e", "1"],
 ])
-def test_scan_of_a_huge_field_fails_fast(capsys, flags):
+def test_scan_of_a_huge_field_fails_fast(capsys, monkeypatch, flags):
+    refuse_work(monkeypatch)
     start = time.perf_counter()
     code, out, err = run(capsys, "scan", *flags)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err.startswith("error: parameter space over GF(") and "guard" in err
+    assert err.startswith("error: GF(") and err.endswith(
+        " is out of scope: fields are limited to q <= 2^24\n")
+
+
+@pytest.mark.parametrize("flags, field_text", [
+    (["--family", "P6", "--k", "1000", "--b", "1", "--delta", "1"], "2^2000"),
+    (["--family", "P4", "--q", "5", "--e", "200000", "--r", "1", "--a", "1"],
+     "5^200000"),
+    (["--family", "P4", "--q", str(2 ** 61 - 1), "--e", "1", "--r", "1",
+      "--a", "1"], f"{2 ** 61 - 1}^1"),
+])
+def test_family_of_a_huge_field_fails_fast(capsys, monkeypatch, flags, field_text):
+    # the bound comes before the modulus search and before factoring P4's q
+    refuse_work(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family", *flags)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: GF({field_text}) is out of scope: "
+                   "fields are limited to q <= 2^24\n")
 
 
 def test_vacuous_pass_warns(capsys):
@@ -367,16 +402,16 @@ def test_scan_k1_is_vacuous(capsys):
 
 
 def test_scan_above_table_bound_fails_fast(capsys, monkeypatch):
-    # GF(32^5) = GF(2^25): 2^26 - 2 tuples pass the enumeration guard, and the
-    # field must be refused before it is built
+    # GF(32^5) = GF(2^25): 2^26 - 2 tuples would pass the enumeration guard,
+    # and the field must be refused before it is built
     def no_build(*args):
         raise AssertionError("field built above the table bound")
 
     monkeypatch.setattr(scan, "field_for_family", no_build)
     code, out, err = run(capsys, "scan", "--family", "P4", "--q", "32", "--e", "5")
     assert (code, out) == (2, "")
-    assert err == ("error: exhaustive permutation check is limited to "
-                   "q <= 2^24 (got q=33554432)\n")
+    assert err == ("error: GF(32^5) is out of scope: "
+                   "fields are limited to q <= 2^24\n")
 
 
 def test_scan_refuses_hours_of_work_at_once(capsys, monkeypatch):

@@ -389,22 +389,30 @@ def test_enumerate_deterministic_and_partitioned(gf64):
 
 
 def test_enumeration_guard():
+    # GF(2^24) is within the size bound, and its 2^48 tuples are not
     with pytest.raises(ValueError, match="guard"):
-        check_enumeration_guard("P5", {"m": 13})
+        check_enumeration_guard("P5", {"m": 12})
     with pytest.raises(ValueError, match="guard"):
-        list(enumerate_params("P5", {"m": 13}))
+        list(enumerate_params("P5", {"m": 12}))
 
 
 @pytest.mark.parametrize("family, field_params", [
     ("P6", {"k": 40}), ("P6", {"k": 1000}), ("P1", {"m": 7, "k": 10 ** 6}),
     ("P4", {"q": 5, "e": 200000}), ("P4", {"q": 3, "e": 10 ** 9}),
+    ("P4", {"q": 2 ** 61 - 1, "e": 1}),
 ])
-def test_enumeration_guard_fails_fast_on_huge_fields(family, field_params):
-    # refused from the bit length of q, before q, any domain or P4's r is built
+def test_enumeration_guard_fails_fast_on_huge_fields(monkeypatch, family, field_params):
+    # refused by the size bound from bit lengths, before q, any domain or
+    # P4's r is built, and before P4's q is factored
+    def refuse(*args):
+        raise AssertionError("factored P4's q above the bound")
+
+    monkeypatch.setattr(families, "_prime_factors", refuse)
+    bound = "is out of scope: fields are limited to q <= 2\\^24$"
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="guard"):
+    with pytest.raises(ValueError, match=bound):
         check_enumeration_guard(family, field_params)
-    with pytest.raises(ValueError, match="guard"):
+    with pytest.raises(ValueError, match=bound):
         next(enumerate_params(family, field_params))
     assert time.perf_counter() - start < 1
 

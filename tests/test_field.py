@@ -99,11 +99,13 @@ def test_nonprime_p_rejected():
         build_field(4, 2)
     with pytest.raises(ValueError):
         build_field(9, 1)
-    # a huge prime p is rejected as out of scope at once, not trial-divided
+    # a p above the size bound is refused before it is tested for primality
     with pytest.raises(ValueError, match="out of scope"):
         build_field(10 ** 24 + 7, 1)
-    with pytest.raises(ValueError, match="not prime"):
+    with pytest.raises(ValueError, match="out of scope"):
         build_field(1048583 * 1048589, 1)
+    with pytest.raises(ValueError, match="not prime"):
+        build_field(4093 * 4099, 1)        # 16,777,207, below 2^24
 
 
 def test_bad_modulus_shape():
@@ -165,18 +167,15 @@ def frobenius_trace(ctx, m, x):
     return acc
 
 
-# every m dividing n, on every x, with and without tables
+# every m dividing n, on every x
 @pytest.mark.parametrize("p,n,ms", [(2, 8, (1, 2, 4, 8)), (2, 6, (1, 2, 3, 6)),
                                     (3, 4, (1, 2, 4)), (5, 4, (1, 2, 4))])
 def test_relative_trace_tables_match_frobenius_sum(p, n, ms):
     ctx = build_field(p, n)
-    tablefree = build_field(p, n, tables=False)
-    assert ctx.has_tables and not tablefree.has_tables
     assert ms == tuple(m for m in range(1, n + 1) if n % m == 0)
     for m in ms:
         want = [frobenius_trace(ctx, m, x) for x in range(ctx.q)]
         assert [ctx.relative_trace(m, x) for x in range(ctx.q)] == want
-        assert [tablefree.relative_trace(m, x) for x in range(ctx.q)] == want
 
 
 @pytest.mark.parametrize("p,n", [(2, 8), (3, 4), (5, 3)])
@@ -414,19 +413,14 @@ def test_zech_add_vec_random_gf5_8():
 def test_table_bound_boundary(monkeypatch):
     assert field.TABLE_BOUND == 1 << 24
     assert build_field(2, 21).has_tables and build_field(3, 13).has_tables
-    A = np.arange(8, dtype=np.int64)
-    for ctx in (build_field(2, 25), build_field(3, 16)):
-        assert not ctx.has_tables
-        ops = [lambda: ctx.mul_vec(A, A), lambda: ctx.scale_vec(3, A),
-               lambda: ctx.pow_vec(A, 3)]
-        if ctx.p != 2:
-            ops += [lambda: ctx.add_vec(A, A), lambda: ctx.neg_vec(A)]
-        for op in ops:
-            with pytest.raises(ValueError, match="vector arithmetic needs log tables"):
-                op()
-    # q equal to the bound gets tables, the next power of p does not
+    for p, n in ((2, 25), (3, 16)):
+        with pytest.raises(ValueError, match=rf"^GF\({p}\^{n}\) is out of scope"):
+            build_field(p, n)
+    # q equal to the bound builds, with tables; the next power of p is refused
     monkeypatch.setattr(field, "TABLE_BOUND", 1 << 10)
-    assert build_field(2, 10).has_tables and not build_field(2, 11).has_tables
+    assert build_field(2, 10).has_tables
+    with pytest.raises(ValueError, match=r"limited to q <= 2\^10$"):
+        build_field(2, 11)
 
 
 @pytest.fixture(scope="module", params=[(2, 20), (2, 21), (3, 13)],
@@ -510,20 +504,15 @@ def test_field_descriptor():
         parse_field_descriptor("2^4:foo=1")
 
 
-def test_no_table_field():
-    ctx = build_field(2, 27)
-    assert not ctx.has_tables
-    rng = random.Random(99)
-    for _ in range(50):
-        a = rng.randrange(1, ctx.q)
-        b = rng.randrange(1, ctx.q)
-        assert ctx.mul(a, b) == ctx.mul(b, a)
-        assert ctx.mul(a, ctx.inv(a)) == 1
-        assert ctx.pow(a, ctx.q - 1) == 1
-        t = ctx.relative_trace(3, a)
-        assert ctx.frobenius(t, 3) == t
-    # packed-code formatting still round-trips
-    assert ctx.parse_element(ctx.format_element(12345)) == 12345
+def test_no_table_field(monkeypatch):
+    # there is no table-free field: GF(2^27) is refused before a modulus search
+    def refuse(*args):
+        raise AssertionError("searched for a modulus above the bound")
+
+    monkeypatch.setattr(field, "canonical_modulus", refuse)
+    with pytest.raises(ValueError, match=r"^GF\(2\^27\) is out of scope: "
+                                         r"fields are limited to q <= 2\^24$"):
+        build_field(2, 27)
 
 
 def test_rabin_gf2_matches_tuple_path():
@@ -563,28 +552,17 @@ def test_prime_factors_match_trial_division():
         assert _prime_factors(n) == trial_division_factors(n), n
 
 
-def test_prime_factors_above_trial_division():
-    # 2^61 - 1 is prime; 2^67 - 1 = 193707721 * 761838257287 needs rho
-    assert _prime_factors(2 ** 61 - 1) == [2 ** 61 - 1]
-    assert _prime_factors(2 ** 67 - 1) == [193707721, 761838257287]
-    assert _prime_factors(6 * (2 ** 67 - 1)) == [2, 3, 193707721, 761838257287]
-
-
-def test_prime_factors_rho_budget(monkeypatch):
-    monkeypatch.setattr(field, "RHO_BUDGET", 1 << 8)
-    with pytest.raises(ValueError, match="cannot factor"):
-        _prime_factors(1099511627791 * 1099511627831)       # two primes near 2^40
-
-
 @pytest.mark.parametrize("n", [61, 67])
-def test_large_char2_field_builds(n):
+def test_large_char2_field_builds(monkeypatch, n):
+    # GF(2^n) above the bound is refused at once; q - 1 is never factored
+    def refuse(*args):
+        raise AssertionError("factored an integer above the bound")
+
+    monkeypatch.setattr(field, "_prime_factors", refuse)
     t0 = time.perf_counter()
-    ctx = build_field(2, n)
-    assert time.perf_counter() - t0 < 5
-    assert not ctx.has_tables
-    assert ctx.pow(ctx.generator, ctx.q - 1) == 1
-    for r in _prime_factors(ctx.q - 1):
-        assert ctx.pow(ctx.generator, (ctx.q - 1) // r) != 1
+    with pytest.raises(ValueError, match=rf"^GF\(2\^{n}\) is out of scope"):
+        build_field(2, n)
+    assert time.perf_counter() - t0 < 1
 
 
 def sympy_galoistools():

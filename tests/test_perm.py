@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from permupoly import (SparsePoly, build_field, evaluate, evaluate_all,
                        lemma1_polynomial, monomial_pp_check, mu_d_roots,
                        parse_poly)
 from permupoly import field, perm
+from permupoly.cli import main
+from permupoly.families import check_enumeration_guard
 
 
 def test_identity_is_permutation(gf64):
@@ -103,9 +106,10 @@ def test_lemma1_vanishing_h_on_circle(gf16):
 
 
 def test_perm_guard():
-    big = build_field(2, 25)
-    with pytest.raises(ValueError, match="2\\^24"):
-        is_permutation(big, parse_poly(big, "x"))
+    # no field above the bound exists to check
+    with pytest.raises(ValueError, match=r"^GF\(2\^25\) is out of scope: "
+                                         r"fields are limited to q <= 2\^24$"):
+        build_field(2, 25)
 
 
 def dict_walk_witness(ctx, values):
@@ -228,18 +232,36 @@ def test_complete_check_evaluates_once(monkeypatch, p, n):
         assert len(calls) == 1
 
 
-def test_bound_messages_follow_the_bounds(monkeypatch):
+def test_bound_messages_follow_the_bounds(monkeypatch, capsys):
+    # TABLE_BOUND is stated once, so moving it moves every refusal alike
     monkeypatch.setattr(field, "TABLE_BOUND", 1 << 9)
-    bare = build_field(2, 10)
-    with pytest.raises(ValueError, match=r"^field has no log tables \(q > 2\^9\)$"):
-        bare.log(1)
-    with pytest.raises(ValueError, match=r"needs log tables \(q <= 2\^9\)$"):
-        bare.mul_vec(np.arange(4), np.arange(4))
-    # x needs no kernel on p = 2, so evaluate_all must refuse up front
-    with pytest.raises(ValueError, match=r"needs log tables \(q <= 2\^9\)$"):
-        evaluate_all(bare, parse_poly(bare, "x"))
-    with pytest.raises(ValueError, match=r"limited to q <= 2\^9 \(got q=1024\)$"):
-        is_permutation(bare, parse_poly(bare, "x"))
+    refusal = "GF(2^10) is out of scope: fields are limited to q <= 2^9"
+    assert build_field(2, 9).has_tables
+    assert check_enumeration_guard("P6", {"k": 4}) == 255 * 256
+    with pytest.raises(ValueError, match=re.escape(refusal) + "$"):
+        build_field(2, 10)
+    with pytest.raises(ValueError, match=re.escape(refusal) + "$"):
+        check_enumeration_guard("P6", {"k": 5})
+    for argv in (["scan", "--family", "P6", "--k", "5"],
+                 ["family", "--family", "P6", "--k", "5", "--b", "1", "--delta", "1"],
+                 ["field-info", "--field", "2^10"],
+                 ["check-pp", "--field", "2^10", "--poly", "x"],
+                 ["decompose", "--field", "2^10", "--x", "g"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {refusal}\n"), argv
     monkeypatch.setattr(field, "TABLE_BOUND", 1000)
-    with pytest.raises(ValueError, match=r"limited to q <= 1000 \(got q=1024\)$"):
-        is_complete_permutation(bare, parse_poly(bare, "x"))
+    assert build_field(3, 6).q == 729
+    with pytest.raises(ValueError, match=r"^GF\(2\^10\) .* q <= 1000$"):
+        build_field(2, 10)
+    # a field built without tables refuses whole-field evaluation up front
+    bare = build_field(2, 9, tables=False)
+    with pytest.raises(ValueError, match=r"built without log tables$"):
+        evaluate_all(bare, parse_poly(bare, "x"))
+
+
+def test_prime_field_above_old_characteristic_rule():
+    # p just above 2^20: a prime field is bounded by its order alone
+    ctx = build_field(1048583, 1)
+    for e in (2, 3):
+        rep = is_permutation(ctx, parse_poly(ctx, f"x^{e}"))
+        assert rep.permutation == monomial_pp_check(ctx, e)
