@@ -237,12 +237,24 @@ def canonical_modulus(p, n):
 # field context
 # ---------------------------------------------------------------------------
 
+class _NoTables:
+    """Stands in for the scalar exp and log tables of a context built
+    without them: any read raises the ValueError that FieldCtx._tables
+    raises, so the scalar ops need no check of their own."""
+
+    def __init__(self, message):
+        self.message = message
+
+    def __getitem__(self, index):
+        raise ValueError(self.message)
+
+
 class FieldCtx:
     """A concrete GF(p^n): modulus, generator, codec, and log tables.
 
     Do not construct directly; use build_field.  A context built with
     tables=False has only the modulus, the generator and the _notable
-    arithmetic.
+    arithmetic; everything that reads a table raises ValueError.
     """
 
     def __init__(self, p, n, modulus):
@@ -257,8 +269,9 @@ class FieldCtx:
         self._E = None                              # E[i] = code of g^i: the view P[1:]
         self._L = None                              # L[code] = i, int64, L[0] = 0
         self._Z = None                              # odd p: Z[i] = log(1 + g^i)
-        self._exp = None                            # memoryview(E): scalar reads give int
-        self._log = None                            # memoryview(L)
+        # memoryview(E) and memoryview(L) once the tables are built, so that
+        # scalar reads give int; until then, reads raise
+        self._exp = self._log = _NoTables(f"{self!r} was built without log tables")
         self._mod_int = self.modulus_code if p == 2 else None
         self._as_solver = None                      # lazy, used by circle.solve_quadratic
         self._powers = {}                           # poly.evaluate_all's memo of base powers
@@ -411,7 +424,7 @@ class FieldCtx:
 
     def _tables(self):
         if self._E is None:
-            raise ValueError(f"{self!r} was built without log tables")
+            raise ValueError(self._log.message)
         return self._E, self._L
 
     def add_vec(self, A, B):

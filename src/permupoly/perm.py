@@ -9,7 +9,6 @@ Witnesses are the first repeat in canonical order and are re-checked
 before emission.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -19,6 +18,7 @@ from .poly import CompositePoly, SparsePoly, evaluate, evaluate_all, eval_sparse
 
 WITNESS_CHUNK = 1 << 12     # positions after 0 the witness search walks with a dict;
                             # numpy chunks after them start at this size and double
+WITNESS_PREFIX = 64         # of those positions, the ones walked first
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,9 @@ class PermReport:
         }
 
 
-def _dict_walk(xs, vs):
-    """First (x1, x2) of xs whose values vs repeat, by one dict pass."""
-    seen = {}
+def _dict_walk(xs, vs, seen):
+    """First (x1, x2) of xs whose values vs repeat, by one dict pass that
+    goes on from seen, the earlier points by value."""
     for x, v in zip(xs, vs):
         if v in seen:
             return (seen[v], x)
@@ -58,18 +58,21 @@ def _first_collision(ctx, values):
     f's values in that order: f(0) at position 0, f(g^i) at position i + 1.
 
     The first WITNESS_CHUNK + 1 positions (0, then g^0, g^1, ...) go
-    through a dict, which finds early witnesses at no set-up cost.
+    through a dict, which finds early witnesses at no set-up cost; it
+    walks WITNESS_PREFIX positions after 0 first and converts the rest of
+    them only when those hold no repeat, since most witnesses lie there.
     Later positions are searched in numpy chunks that double in size:
     first[v] holds the least position seen so far with value v, so after
     np.minimum.at the first position of a chunk above first[its value] is
     the least repeating position, and first[its value] is where that value
     first occurred: the pair the dict walk would return.
     """
+    seen, mid = {int(values[0]): 0}, min(WITNESS_PREFIX, WITNESS_CHUNK)
+    for lo, hi in ((0, mid), (mid, WITNESS_CHUNK)):
+        witness = _dict_walk(ctx._exp[lo:hi], values[lo + 1:hi + 1].tolist(), seen)
+        if witness is not None:
+            return witness
     head = values[:WITNESS_CHUNK + 1]
-    witness = _dict_walk(itertools.chain([0], ctx._exp[:WITNESS_CHUNK]),
-                         head.tolist())
-    if witness is not None:
-        return witness
     first = np.full(ctx.q, ctx.q, dtype=np.int64)
     first[head] = np.arange(len(head))      # distinct: the walk found none
     lo, size = len(head), WITNESS_CHUNK

@@ -84,20 +84,46 @@ class CompositePoly:
 
 
 def eval_sparse(ctx, sp, x):
+    """sp(x) from the log tables: a term c * x^e is one exp-table read at
+    log c + e * log x (mod q-1), and the terms sum by XOR for p = 2.  At
+    x = 0 only the constant term survives (0^0 = 1, 0^e = 0)."""
+    char2 = ctx.p == 2
     acc = 0
+    if x == 0:
+        for e, c in sp.terms:
+            if e == 0:
+                acc = acc ^ c if char2 else ctx.add(acc, c)
+        return acc
+    E, L, qm1 = ctx._exp, ctx._log, ctx._qm1
+    lx = L[x]
     for e, c in sp.terms:
-        acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, e)))
+        if c:
+            t = E[(L[c] + lx * e) % qm1]
+            acc = acc ^ t if char2 else ctx.add(acc, t)
     return acc
 
 
 def evaluate(ctx, f, x):
-    """f(x) for a CompositePoly (or SparsePoly) under the exponent convention."""
+    """f(x) for a CompositePoly (or SparsePoly) under the exponent
+    convention, with the scalar ops inlined as in eval_sparse: a term
+    c * T^e is one exp-table read for T != 0, c for T = 0 and e = 0, and
+    0 otherwise; e may be negative."""
     if isinstance(f, SparsePoly):
         return eval_sparse(ctx, f, x)
+    E, L, qm1 = ctx._exp, ctx._log, ctx._qm1
+    char2 = ctx.p == 2
     acc = 0
     for c, base, e in f.terms:
+        if not c:
+            continue
         t = eval_sparse(ctx, base, x)
-        acc = ctx.add(acc, ctx.mul(c, ctx.pow(t, e)))
+        if t:
+            t = E[(L[c] + L[t] * e) % qm1]
+        elif e == 0:
+            t = c
+        else:
+            continue
+        acc = acc ^ t if char2 else ctx.add(acc, t)
     return acc
 
 

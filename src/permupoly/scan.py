@@ -9,9 +9,11 @@ are exactly zero.
 
 Which parameters a family takes, and which of them are enumerated, comes
 from families.SCHEMA; the CSV parameter columns follow INT_PARAMS and
-ELEMENT_PARAMS.  One verdict loop serves both modes: `_condition` says
-whether a tuple is skipped, and otherwise whether the tested condition
-holds, which is the expected permutation verdict.
+ELEMENT_PARAMS.  Each evaluated tuple leaves a row of plain values, kept
+only up to the row cap, and its elements are formatted only when the
+report is written as CSV.  One verdict loop serves both modes:
+`_condition` says whether a tuple is skipped, and otherwise whether the
+tested condition holds, which is the expected permutation verdict.
 
 Scans are deterministic: one sequential pass on the calling thread walks
 the parameter space in enumeration order and tallies straight into the
@@ -22,6 +24,7 @@ running ordinal.
 
 import csv
 import json
+import operator
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -64,6 +67,7 @@ class ScanReport:
     sampled: bool = False
     duration_ms: float = 0.0
     command: str | None = None
+    ctx: object = dc_field(default=None, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -118,13 +122,11 @@ def _discrepancy(ctx, params, expected, observed, witness):
     return d
 
 
-def _row(params, satisfied, condition, is_pp):
-    row = params.to_dict()
-    row["satisfied"] = satisfied
-    if condition is not None:
-        row["condition"] = condition
-    row["is_pp"] = is_pp
-    return row
+# a row is a tuple: the values of _CSV_PARAM_COLS (None where unset), then
+# satisfied, condition (None in sufficiency scans) and is_pp
+_CSV_PARAM_COLS = INT_PARAMS + ELEMENT_PARAMS
+_ROW_VALUES = operator.itemgetter(*_CSV_PARAM_COLS)
+_FIRST_ELEMENT_COL = len(INT_PARAMS)
 
 
 def _condition(checklist, cond_name):
@@ -176,8 +178,9 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
         family=family, mode=mode,
         field={"p": ctx.p, "n": ctx.n, "modulus": hex(ctx.modulus_code)},
         field_params=dict(field_params),
-        sampled=stride > 1,
+        sampled=stride > 1, ctx=ctx,
     )
+    rows = report.rows
     viol_ordinal = 0
     for params, poly, checklist in iter_family(family, field_params, ctx):
         cond = _condition(checklist, cond_name)
@@ -197,13 +200,16 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
             else:
                 report.pp_true_violating += 1
         if rep.permutation != cond:
-            expected = "permutation" if cond else "not-permutation"
-            report.discrepancies.append(_discrepancy(
-                ctx, params, expected, rep.verdict,
-                rep.witness if cond else None))
-        report.rows.append(_row(params, cond,
-                                None if cond_name is None else cond,
-                                rep.permutation))
+            report.discrepancy_count += 1
+            if len(report.discrepancies) < DISCREPANCY_CAP:
+                expected = "permutation" if cond else "not-permutation"
+                report.discrepancies.append(_discrepancy(
+                    ctx, params, expected, rep.verdict,
+                    rep.witness if cond else None))
+        # one row past the cap tells that rows were dropped
+        if len(rows) <= row_cap:
+            rows.append((*_ROW_VALUES(vars(params)), cond,
+                         None if cond_name is None else cond, rep.permutation))
 
     if mode == "sufficiency":
         report.total = domain   # every tuple counts, evaluated or not
@@ -211,10 +217,8 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
         tt, ft = report.pp_true_satisfying, report.pp_true_violating
         report.confusion = dict(tt=tt, tf=report.satisfying - tt, ft=ft,
                                 ff=report.total - report.satisfying - ft)
-    report.discrepancy_count = len(report.discrepancies)
-    del report.discrepancies[DISCREPANCY_CAP:]
-    report.rows_truncated = len(report.rows) > row_cap
-    del report.rows[row_cap:]
+    report.rows_truncated = len(rows) > row_cap
+    del rows[row_cap:]
     report.duration_ms = (time.perf_counter() - start) * 1e3
     return report
 
@@ -237,9 +241,6 @@ def scan_necessity(family, field_params, modulus=None, ctx=None,
 # serialization
 # ---------------------------------------------------------------------------
 
-_CSV_PARAM_COLS = INT_PARAMS + ELEMENT_PARAMS
-
-
 def report_json(report):
     return json.dumps(report.to_dict(), indent=2) + "\n"
 
@@ -251,19 +252,30 @@ def write_report(report, path, fmt="json"):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(report_json(report))
     elif fmt == "csv":
-        cols = ["family"] + [c for c in _CSV_PARAM_COLS
-                             if any(c in row for row in report.rows)]
-        cols += ["satisfied"]
-        if report.mode == "necessity":
-            cols += ["condition"]
-        cols += ["is_pp"]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
-            w.writeheader()
-            for row in report.rows:
-                w.writerow(row)
+        _write_csv(report, path)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _write_csv(report, path):
+    """One line per row: the family, the parameter columns some row sets,
+    with elements formatted in the report's field, then the verdicts."""
+    rows = report.rows
+    used = [i for i in range(len(_CSV_PARAM_COLS))
+            if any(row[i] is not None for row in rows)]
+    ints = [i for i in used if i < _FIRST_ELEMENT_COL]
+    elems = [i for i in used if i >= _FIRST_ELEMENT_COL]
+    verdicts = {"satisfied": -3, "condition": -2, "is_pp": -1}
+    if report.mode != "necessity":
+        del verdicts["condition"]
+    fmt = report.ctx.format_element if elems else None
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["family", *(_CSV_PARAM_COLS[i] for i in used), *verdicts])
+        for row in rows:
+            w.writerow([report.family, *(row[i] for i in ints),
+                        *(None if row[i] is None else fmt(row[i]) for i in elems),
+                        *(row[i] for i in verdicts.values())])
 
 
 def load_report(path):

@@ -515,6 +515,19 @@ def test_no_table_field(monkeypatch):
         build_field(2, 27)
 
 
+def test_table_free_context_reads_raise():
+    # a tables=False context answers every table read with the same
+    # ValueError as the vector path, not a TypeError from a missing table
+    ctx = build_field(2, 4, tables=False)
+    assert not ctx.has_tables and ctx._mul_notable(3, 5) == build_field(2, 4).mul(3, 5)
+    message = r"^GF\(2\^4, modulus=0x13\) was built without log tables$"
+    for read in (lambda: ctx.mul(3, 5), lambda: ctx.pow(3, 2), lambda: ctx.inv(3),
+                 lambda: ctx.gen_pow(1), lambda: ctx.format_element(3),
+                 ctx.elements_in_order, ctx._tables):
+        with pytest.raises(ValueError, match=message):
+            read()
+
+
 def test_rabin_gf2_matches_tuple_path():
     """The packed-int test for p = 2 against the tuple path, on every monic
     polynomial of degree 1..11 (4,094 codes), and the per-degree counts

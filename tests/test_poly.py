@@ -286,3 +286,55 @@ def test_outer_exponent_zero_skips_the_base(monkeypatch):
     for order, xs in (("code", range(ctx.q)), ("canonical", ctx.elements_in_order())):
         assert evaluate_all(ctx, f, order).tolist() == [evaluate(ctx, f, a) for a in xs]
     assert calls == [] and ctx._powers == {}
+
+
+def notable_evaluate(ctx, f, x):
+    """Reference f(x) without log tables: products by _mul_notable, powers
+    by _pow_notable (0^0 = 1, 0^e = 0, e mod q-1 otherwise) and sums by
+    base-p digits, so it shares no arithmetic with evaluate."""
+    p, n = ctx.p, ctx.n
+
+    def add(a, b):
+        out, mult = 0, 1
+        for _ in range(n):
+            out += ((a % p + b % p) % p) * mult
+            a, b, mult = a // p, b // p, mult * p
+        return out
+
+    def power(a, e):
+        if a == 0:
+            return 1 if e == 0 else 0
+        return ctx._pow_notable(a, e % (ctx.q - 1))
+
+    def sparse(sp):
+        acc = 0
+        for e, c in sp.terms:
+            acc = add(acc, ctx._mul_notable(c, power(x, e)))
+        return acc
+
+    if isinstance(f, SparsePoly):
+        return sparse(f)
+    acc = 0
+    for c, base, e in f.terms:
+        acc = add(acc, ctx._mul_notable(c, power(sparse(base), e)))
+    return acc
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (5, 2), (7, 2)])
+def test_evaluate_matches_table_free_reference(p, n):
+    """Scalar evaluate against notable_evaluate at every point, x = 0
+    included, on composites with zero coefficients (in the outer terms
+    and the bases), e = 0, negative and large e, and bases that vanish."""
+    ctx = build_field(p, n)
+    rng = random.Random(f"scalar:{p}^{n}")
+    for _ in range(40):
+        terms = tuple((rng.choice((0, 1, rng.randrange(ctx.q))), random_base(ctx, rng),
+                       random_exponent(ctx, rng)) for _ in range(rng.randint(1, 4)))
+        f = CompositePoly(terms)
+        sp = SparsePoly(tuple((e, rng.choice((0, rng.randrange(ctx.q))))
+                              for e in sorted(rng.sample(range(3 * ctx.q), 3))))
+        zero_c = CompositePoly(((0, SparsePoly(X_TERMS), 0),) + terms)
+        for a in range(ctx.q):
+            for g in (f, sp, zero_c):
+                assert evaluate(ctx, g, a) == notable_evaluate(ctx, g, a), \
+                    (a, to_text(ctx, g) if g is not sp else sp.terms)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -101,9 +102,21 @@ def test_csv_rows(tmp_path):
         write_report(rep, str(path), fmt="xml")
 
 
-def test_row_cap():
+def test_row_cap(monkeypatch):
+    # rows are capped as they are appended: the scan holds at most one row
+    # past the cap, which is how it knows to set rows_truncated
+    real, held = scan_mod.is_permutation, []
+
+    def watching(ctx, poly):
+        held.append(len(sys._getframe(1).f_locals["report"].rows))
+        return real(ctx, poly)
+
+    monkeypatch.setattr(scan_mod, "is_permutation", watching)
     rep = scan_necessity("P6", {"k": 2}, row_cap=10)
+    assert len(held) == rep.total == 120 and max(held) == 11
     assert len(rep.rows) == 10 and rep.rows_truncated
+    full = scan_necessity("P6", {"k": 2}, row_cap=rep.total)
+    assert len(full.rows) == full.total and not full.rows_truncated
 
 
 def test_sampled_necessity_deterministic():
