@@ -15,6 +15,7 @@ import numpy as np
 TABLE_BOUND = 1 << 24       # largest field order: every field has log tables
 TABLE_WALK = 64             # generator powers the table build takes by scalar multiply
 TABLE_BLOCK = 1 << 12       # generator powers per block step of the table build
+PROGRESSION_HEAD = 1 << 10  # progression entries monomial_vec computes by %
 
 
 def bound_text(bound):
@@ -428,37 +429,58 @@ class FieldCtx:
         return self._E, self._L
 
     def add_vec(self, A, B):
+        """A + B elementwise, as a new array; either operand may be one code."""
         if self.p == 2:
             return np.bitwise_xor(A, B)
-        # a + b = a * (1 + b/a) = g^(log a + Z[log b - log a])
+        if np.ndim(A) == 0:
+            A, B = B, A                 # the sum commutes, so A is the array
+        # a + b = a * (1 + b/a) = g^(log a + Z[log b - log a]); zero operands
+        # read log 0, and their results are overwritten last
         E, L = self._tables()
-        qm1 = self._qm1
-        la = L[A]
-        d = (L[B] - la) % qm1
-        out = E[(la + self._Z[d]) % qm1]
-        out = np.where(d == qm1 // 2, 0, out)       # b = -a
-        out = np.where(A == 0, B, out)
-        return np.where(B == 0, A, out)
+        m = self._qm1
+        la = L.take(A)
+        d = m - la
+        d += L.take(B)
+        _wrap(d, m)
+        opposite = d == m // 2          # b = -a, where Z holds -1
+        s = self._Z.take(d)
+        del d
+        s += la
+        del la
+        np.copyto(s, 0, where=opposite)  # there s = log a - 1, which is -1 at a = 1
+        out = E.take(_wrap(s, m))
+        del s
+        np.copyto(out, 0, where=opposite)
+        del opposite
+        np.copyto(out, B, where=A == 0)
+        np.copyto(out, A, where=B == 0)
+        return out
 
     def neg_vec(self, A):
         if self.p == 2:
-            return A
+            return A.copy()
         # -1 = g^((q-1)/2)
-        E, L = self._tables()
-        out = E[(L[A] + self._qm1 // 2) % self._qm1]
-        return np.where(A == 0, 0, out)
+        return self._log_shift(A, self._qm1 // 2)
 
     def mul_vec(self, A, B):
-        E, L = self._tables()
-        out = E[(L[A] + L[B]) % self._qm1]
-        return np.where((A == 0) | (B == 0), 0, out)
+        _, L = self._tables()
+        out = self._log_shift(A, L.take(B))
+        np.copyto(out, 0, where=B == 0)
+        return out
 
     def scale_vec(self, c, A):
         if c == 0:
             return np.zeros_like(A)
+        return self._log_shift(A, self._log[c])
+
+    def _log_shift(self, A, k):
+        """g^(log A + k) with zeros kept, for k in [0, q-1) or an array of
+        such logs: a sum of two logs, so one wrap reduces it."""
         E, L = self._tables()
-        out = E[(L[A] + self._log[c]) % self._qm1]
-        out[A == 0] = 0                 # the gather made out, so clear in place
+        idx = L.take(A)
+        idx += k
+        out = E.take(_wrap(idx, self._qm1))
+        np.copyto(out, 0, where=A == 0)
         return out
 
     def pow_vec(self, A, e):
@@ -489,7 +511,7 @@ class FieldCtx:
             out[1:qm1 - k + 1] = E[k:]
             out[qm1 - k + 1:] = E[:k]
         else:                           # position 0 takes k - e, and is cleared
-            out = E[np.arange(k - e, k + e * qm1, e) % qm1]
+            out = E[_progression(k - e, e, self.q, qm1)]
         out[0] = 0
         return out
 
@@ -540,6 +562,32 @@ class FieldCtx:
 
     def __repr__(self):
         return f"GF({self.p}^{self.n}, modulus={hex(self.modulus_code)})"
+
+
+def _wrap(x, m):
+    """x mod m in place, for an int64 array x with entries in [0, 2m).
+    Viewed as uint64, x - m wraps above x exactly when x < m, so the
+    smaller of the two is the residue; no entry is divided."""
+    u = x.view(np.uint64)
+    np.minimum(u, u - m, out=u)
+    return x
+
+
+def _progression(a, e, count, m):
+    """(a + i*e) mod m for i < count, as an int64 array.  The first
+    PROGRESSION_HEAD entries come from %, which is all of them for a small
+    count; then the array doubles: entries B.. are the first B entries plus
+    e*B mod m, each sum below 2m, so one wrap reduces it."""
+    if count <= PROGRESSION_HEAD:
+        return np.arange(a, a + e * count, e) % m
+    out = np.empty(count, dtype=np.int64)
+    out[:PROGRESSION_HEAD] = np.arange(a, a + e * PROGRESSION_HEAD, e) % m
+    width = PROGRESSION_HEAD
+    while width < count:
+        step = min(width, count - width)
+        _wrap(np.add(out[:step], e * width % m, out=out[width:width + step]), m)
+        width += step
+    return out
 
 
 def _digit_matrix(codes, p, n):

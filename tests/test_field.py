@@ -8,7 +8,8 @@ from permupoly import (ReducibleModulusError, build_field, canonical_modulus,
                        is_irreducible, parse_field_descriptor)
 from permupoly import field
 from permupoly.field import (_code_of, _digits_of, _generator_powers,
-                             _prime_factors, _pmod, _rabin_tuples, _trim)
+                             _prime_factors, _pmod, _progression, _rabin_tuples,
+                             _trim, _wrap)
 
 
 def brute_is_irreducible(f, p):
@@ -408,6 +409,90 @@ def test_zech_add_vec_random_gf5_8():
     A, B = _check_add_vec_random(ctx, random.Random(20261018))
     assert ctx.neg_vec(A).tolist() == [ctx.neg(x) for x in A.tolist()]
     assert not ctx.add_vec(A[250:750], B[250:750]).any()
+
+
+def test_wrap_reduces_below_twice_m():
+    for m in (1, 7, field.TABLE_BOUND - 1):
+        x = np.array([0, m - 1, m, 2 * m - 1], dtype=np.int64)
+        assert _wrap(x, m) is x
+        assert x.tolist() == [0, m - 1, 0, m - 1]
+
+
+@pytest.mark.parametrize("count", [1, 1024, 1025, 2048, 2049])
+def test_progression_matches_remainder(count):
+    assert field.PROGRESSION_HEAD == 1024
+    for a, e, m in ((0, 2, 2186), (-7, 3, 3124), (5, 2045, 2047), (-2046, 4099, 2047)):
+        assert _progression(a, e, count, m).tolist() == \
+            (np.arange(a, a + e * count, e) % m).tolist(), (a, e, m)
+
+
+# q = 2187, 3125 and 2048, all above PROGRESSION_HEAD: the canonical-order
+# progression takes one full doubling step and then a partial one, except
+# at 2048, where the full step ends it
+@pytest.fixture(scope="module", params=[(3, 7), (5, 5), (2, 11)],
+                ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def mid_field(request):
+    return build_field(*request.param)
+
+
+def test_monomial_vec_above_progression_head(mid_field):
+    ctx = mid_field
+    q, points = ctx.q, ctx.elements_in_order()
+    assert q > field.PROGRESSION_HEAD
+    for e in (2, 3, q - 2, q + 3):
+        for c in (1, ctx.gen_pow(5)):
+            assert ctx.monomial_vec(c, e).tolist() == \
+                [ctx.mul(c, ctx.pow(x, e)) for x in points], (e, c)
+
+
+def test_vector_kernels_match_scalar_ops(mid_field):
+    """add, scale, mul and neg on 2,000 seeded pairs with zero operands on
+    either side, b = -a, and a = 1 against b = -1 (log a + Z = -1 there);
+    add_vec also with a scalar on either side, and with the read-only
+    points array, which it leaves unchanged."""
+    ctx, rng = mid_field, random.Random(f"kernels:{mid_field.q}")
+    a = [rng.randrange(ctx.q) for _ in range(2000)]
+    b = [rng.randrange(ctx.q) for _ in range(2000)]
+    a[:20] = [0] * 20
+    b[20:40] = [0] * 20
+    a[40:50] = b[40:50] = [0] * 10
+    b[50:100] = [ctx.neg(x) for x in a[50:100]]
+    a[100], b[100] = 1, ctx.neg(1)
+    A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert ctx.add_vec(A, B).tolist() == [ctx.add(x, y) for x, y in zip(a, b)]
+    assert ctx.mul_vec(A, B).tolist() == [ctx.mul(x, y) for x, y in zip(a, b)]
+    assert ctx.neg_vec(A).tolist() == [ctx.neg(x) for x in a]
+    for k in (0, 1, ctx.neg(1), ctx.gen_pow(7)):
+        want = [ctx.add(x, k) for x in a]
+        assert ctx.add_vec(A, k).tolist() == want and ctx.add_vec(k, A).tolist() == want
+        assert ctx.scale_vec(k, A).tolist() == [ctx.mul(k, x) for x in a]
+    P = ctx._P.copy()
+    values = ctx.monomial_vec(ctx.gen_pow(3), 3)
+    points = ctx.elements_in_order()
+    assert ctx.add_vec(values, ctx._P).tolist() == \
+        [ctx.add(int(v), x) for v, x in zip(values, points)]
+    assert np.array_equal(ctx._P, P) and not ctx._P.flags.writeable
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])
+def test_vector_kernel_results_are_fresh(p, n):
+    """Every kernel returns a new writable array, sharing no memory with
+    its operands or the tables, for each of its cases."""
+    ctx = build_field(p, n)
+    A, B, c = ctx.monomial_vec(1, 3), ctx._P, ctx.gen_pow(2)
+    results = {
+        "add_vec": ctx.add_vec(A, B), "add_vec scalar": ctx.add_vec(A, c),
+        "add_vec zero": ctx.add_vec(0, A), "neg_vec": ctx.neg_vec(A),
+        "mul_vec": ctx.mul_vec(A, B), "pow_vec": ctx.pow_vec(A, 3),
+        "pow_vec 0": ctx.pow_vec(A, 0)}
+    for k in (0, 1, c):
+        results[f"scale_vec {k}"] = ctx.scale_vec(k, A)
+    for e in (1, 2, ctx.q - 1):
+        results[f"monomial_vec {e}"] = ctx.monomial_vec(c, e)
+    shared = [x for x in (A, ctx._P, ctx._L, ctx._Z) if x is not None]
+    for name, out in results.items():
+        assert out.flags.writeable, name
+        assert not any(np.shares_memory(out, x) for x in shared), name
 
 
 def test_table_bound_boundary(monkeypatch):
