@@ -9,7 +9,8 @@ import pytest
 from permupoly import (FamilyParams, build_field, enumerate_params, evaluate,
                        evaluate_all, field_for_family, is_permutation,
                        kernel_is_trivial, make_family, parse_poly,
-                       proof_identity_check, to_text, unit_circle)
+                       proof_identity_check, scan_sufficiency, to_text,
+                       unit_circle)
 from permupoly import families
 from permupoly.families import check_enumeration_guard, iter_family
 
@@ -185,6 +186,20 @@ def test_param_validation_messages(gf64, gf256):
         rejects(params_for("P6", gf64, k=k, b=1, delta=0),
                 "P6 parameter k must be a positive integer")
 
+
+
+# every entry point names an unknown family in the one text
+@pytest.mark.parametrize("call", [
+    lambda ctx: make_family(FamilyParams(family="P9", ctx=ctx)),
+    lambda ctx: field_for_family("P9", {"m": 3}),
+    lambda ctx: next(iter_family("P9", {"m": 3}, ctx=ctx)),
+    lambda ctx: check_enumeration_guard("P9", {"m": 3}),
+    lambda ctx: scan_sufficiency("P9", {"m": 3}, ctx=ctx),
+], ids=["make_family", "field_for_family", "iter_family",
+        "check_enumeration_guard", "scan_sufficiency"])
+def test_unknown_family_text(gf64, call):
+    with pytest.raises(ValueError, match="^unknown family 'P9'$"):
+        call(gf64)
 
 # -- the per-field memo of terms and clauses ---------------------------------
 
@@ -489,6 +504,19 @@ def test_identity_rejects_violating_params(p1_ctx):
     with pytest.raises(ValueError):
         proof_identity_check("P1", params, d=0)
 
+
+
+@pytest.mark.parametrize("family, field_params, values", [
+    ("P4", {"q": 5, "e": 4}, dict(r=1, a=1)),
+    ("P5", {"m": 2}, dict(b=1, delta=2)),
+    ("P6", {"k": 2}, dict(b=5, delta=1)),
+])
+def test_no_identity_check_text(family, field_params, values):
+    ctx = field_for_family(family, field_params)
+    params = params_for(family, ctx, **field_params, **values)
+    with pytest.raises(ValueError,
+                       match=f"^no proof identity check for family '{family}'$"):
+        proof_identity_check(family, params, d=1)
 
 def test_family_text_smoke(p1_ctx):
     poly, _ = make_family(params_for("P1", p1_ctx, m=2, k=3,

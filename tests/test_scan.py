@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 
 import pytest
@@ -47,7 +48,8 @@ def test_scan_necessity_small_p6():
 
 
 def test_scan_necessity_rejects_other_families(gf64):
-    with pytest.raises(ValueError, match="necessity"):
+    text = "necessity scans exist only for ['P5', 'P6']; got P1"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         scan_necessity("P1", {"m": 2, "k": 3}, ctx=gf64)
 
 
