@@ -12,7 +12,7 @@ import shlex
 import sys
 
 from .circle import decompose, solve_quadratic, sqrt_char2
-from .families import (ELEMENT_PARAMS, FAMILY_IDS, INT_PARAMS, SCHEMA,
+from .families import (ELEMENT_PARAMS, FAMILIES, FAMILY_IDS, INT_PARAMS,
                        FamilyParams, field_for_family, make_family)
 from .field import build_field, parse_field_descriptor
 from .perm import is_complete_permutation, is_permutation, lemma1_check
@@ -104,7 +104,7 @@ def _family_params(args, ctx):
 
 def _family_field_params(args):
     out = {}
-    for name in SCHEMA[args.family][0]:
+    for name in FAMILIES[args.family].field:
         v = getattr(args, name)
         if v is None:
             raise ValueError(f"family {args.family} needs --{name}")

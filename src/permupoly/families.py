@@ -1,20 +1,13 @@
 """The six built-in permutation-polynomial families P1..P6.
 
-Each family is a constructor from parameters to a concrete CompositePoly
+Each family is one Family record in FAMILIES, which every function reads.
+Its maker is a constructor from parameters to a concrete CompositePoly
 over its prescribed field, together with a checklist that evaluates every
 hypothesis clause separately.  Clauses marked gating define the
 "satisfying" side of parameter enumeration; a few clauses are reported
 only (see the detail strings), and P5/P6 designate one clause as the
 condition tested by necessity scans.  Tuples that agree on the parameters
 a term or clause depends on share it, through a per-field memo (see _part).
-
-Fields per family:
-  P1 over GF(2^(m*k)):   (b*x + delta)^(2^m+1) + x^(2^m) + c*x
-  P2 over GF(2^(2m)):    (x^(2^m) + x + delta)^(-s) + b*x
-  P3 over GF(2^(2m)):    x^(2^(m+1)) + bprime*x^2 + b*x
-  P4 over GF(q^e):       x^r (x^(q-1) + a), stored expanded
-  P5 over GF(2^(2m)):    (x^(2^m) + x + delta)^(2^(2m-1)+2^(m-1)) + b*x
-  P6 over GF(2^(2k)):    (x^2 + x + delta)^(2^(2k-1)-2^(k-1)) + b*x
 """
 
 import functools
@@ -26,12 +19,6 @@ import numpy as np
 
 from .field import _prime_factors, build_field, check_order
 from .poly import X_TERMS, CompositePoly, SparsePoly, evaluate, evaluate_all
-
-# clause tested by scan_necessity, per family
-NECESSITY_CLAUSE = {
-    "P5": "b^(2^m)+b = b^(2^m+1)",
-    "P6": "b in F_(2^k)\\{0}",
-}
 
 ENUMERATION_GUARD = 1 << 26
 
@@ -70,19 +57,6 @@ class HypothesisChecklist:
 INT_PARAMS = ("m", "k", "e", "q", "s", "r")
 ELEMENT_PARAMS = ("b", "c", "bprime", "delta", "a")
 
-# family -> (field parameters, enumerated parameters, optional parameters).
-# Field parameters fix the ambient field; the enumerated ones are the axes
-# of iter_family, outermost first.
-SCHEMA = {
-    "P1": (("m", "k"), ("b", "delta"), ("c",)),
-    "P2": (("m", "s"), ("b", "delta"), ()),
-    "P3": (("m",), ("bprime", "b"), ()),
-    "P4": (("q", "e"), ("r", "a"), ()),
-    "P5": (("m",), ("b", "delta"), ()),
-    "P6": (("k",), ("b", "delta"), ()),
-}
-FAMILY_IDS = tuple(SCHEMA)
-
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -106,19 +80,58 @@ class FamilyParams:
         return {n: d[n] for n in names if d[n] is not None}
 
     def to_dict(self):
-        d, fmt = vars(self), self.ctx.format_element
-        out = {"family": self.family}
-        for n in INT_PARAMS:
-            if d[n] is not None:
-                out[n] = d[n]
-        for n in ELEMENT_PARAMS:
-            if d[n] is not None:
-                out[n] = fmt(d[n])
-        return out
+        fmt = self.ctx.format_element
+        elements = {n: fmt(v) for n, v in self.given(ELEMENT_PARAMS).items()}
+        return {"family": self.family, **self.given(INT_PARAMS), **elements}
 
 
-def _prime_power(q, e):
-    """(p, j) with q = p^j, once q^e, P4's field order, is within the bound."""
+@dataclass(frozen=True)
+class Family:
+    """One family's facts.  Its field parameters fix GF(p^n), (p, n) =
+    shape(fp).  Its enumerated ones are iter_family's axes, outermost first:
+    axes[i](fp, elems) draws one from the elements in canonical order, and
+    domain_size counts it on range(q).  make(ctx, d) builds the polynomial
+    and checklist; derive(ctx, fp, u), if set, gives {name: value} for the
+    optional parameters (P1's c) that go with the outer value u."""
+    field: tuple
+    enumerated: tuple
+    axes: tuple
+    shape: object
+    make: object
+    optional: tuple = ()
+    derive: object = None
+    necessity: str | None = None    # the clause a necessity scan tests
+    proof: object = None            # see proof_identity_check
+    proof_needs: str = "satisfying parameters"
+    proof_strict: bool = False
+    proof_takes_d: bool = True
+
+    @functools.cached_property
+    def roles(self):
+        """validate_params' walk: (name, required) over the names not optional."""
+        required = self.field + self.enumerated
+        return tuple((name, name in required)
+                     for name in INT_PARAMS + ELEMENT_PARAMS
+                     if name not in self.optional)
+
+    def domain_size(self, fp, q):
+        """Tuples in the domain over GF(q), refused above ENUMERATION_GUARD."""
+        size = math.prod(len(values(fp, range(q))) for values in self.axes)
+        if size > ENUMERATION_GUARD:
+            raise ValueError(f"parameter space has {size} combinations, "
+                             f"above the guard of {ENUMERATION_GUARD}")
+        return size
+
+
+class _Table(dict):
+    """FAMILIES: a read of an unknown id raises the one error for it."""
+    def __missing__(self, family):
+        raise ValueError(f"unknown family {family!r}")
+
+
+def _prime_power(fp):
+    """P4's field shape (p, j*e) for q = p^j, once q^e is within the bound."""
+    q, e = fp["q"], fp["e"]
     check_order(q, e)
     primes = _prime_factors(q)
     if len(primes) != 1:
@@ -127,39 +140,24 @@ def _prime_power(q, e):
     while q > 1:
         q //= p
         j += 1
-    return p, j
+    return p, j * e
 
 
 def family_field_shape(family, fp):
     """(p, n) of the ambient field from the integer parameters fp, each of
     which must be a positive int."""
-    if family not in SCHEMA:
-        raise ValueError(f"unknown family {family!r}")
+    fam = FAMILIES[family]
     for name, v in fp.items():
         if not isinstance(v, int) or v < 1:
             raise ValueError(
                 f"{family} parameter {name} must be a positive integer")
-    if family == "P1":
-        return 2, fp["m"] * fp["k"]
-    if family in ("P2", "P3", "P5"):
-        return 2, 2 * fp["m"]
-    if family == "P6":
-        return 2, 2 * fp["k"]
-    p, j = _prime_power(fp["q"], fp["e"])
-    return p, j * fp["e"]
+    return fam.shape(fp)
 
 
 def field_for_family(family, field_params, modulus=None):
     p, n = family_field_shape(family, field_params)
     return build_field(p, n, modulus)
 
-
-# family -> ((name, required), ...) in INT_PARAMS + ELEMENT_PARAMS order, over
-# the names it requires (True) and those it does not take (False); its
-# optional names are absent
-_ROLES = {fam: tuple((name, name in field + enum)
-                     for name in INT_PARAMS + ELEMENT_PARAMS if name not in opt)
-          for fam, (field, enum, opt) in SCHEMA.items()}
 
 _INT_VALUES = operator.itemgetter(*INT_PARAMS)
 
@@ -175,9 +173,7 @@ def _memo_field_shape(family, *ints):
 def validate_params(params):
     d = vars(params)
     fam = d["family"]
-    if fam not in SCHEMA:
-        raise ValueError(f"unknown family {fam!r}")
-    for name, required in _ROLES[fam]:
+    for name, required in FAMILIES[fam].roles:
         if (d[name] is None) == required:
             raise ValueError(f"{fam} requires parameter {name}" if required
                              else f"{fam} does not take parameter {name}")
@@ -194,7 +190,6 @@ def validate_params(params):
         v = d[name]
         if v is not None and (not isinstance(v, int) or not 0 <= v < q):
             raise ValueError(f"element parameter {name}={v!r} is not in {ctx!r}")
-    return params
 
 
 def _p1_c_exponent(m, q):
@@ -208,6 +203,14 @@ def _p4_exponents(q, e):
     return (1, r_big) if r_big != 1 else (1,)
 
 
+def _elements(fp, elems):
+    return elems
+
+
+def _nonzero(fp, elems):
+    return elems[1:]
+
+
 _X = SparsePoly(X_TERMS)
 
 
@@ -215,17 +218,6 @@ def _inner(*pairs):
     """The SparsePoly of (exponent, coefficient) pairs given with distinct
     ascending exponents, as SparsePoly.make builds it: zero terms dropped."""
     return SparsePoly(tuple(t for t in pairs if t[1]))
-
-
-def _b_term(b):
-    """The composite terms of b*x, as CompositePoly.make keeps them."""
-    return ((b, _X, 1),) if b else ()
-
-
-def _entry_member(ctx, name, value, m, exclude, gating=True):
-    """Membership clause: value in GF(p^m) minus an excluded set."""
-    ok = ctx.in_subfield(m, value) and value not in exclude
-    return ChecklistEntry(name, ok, f"value {ctx.format_element(value)}", gating)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +279,17 @@ def _make_p1(ctx, d):
     return CompositePoly(((1, inner, e),) + tail), HypothesisChecklist(entries)
 
 
-# P2's parts take its field parameters as one value, the pair ms = (m, s)
+def _p1_derived_c(ctx, fp, b):
+    """The c = b^(1-2^(2m)) that iter_family sets with b."""
+    return {"c": ctx.pow(b, _p1_c_exponent(fp["m"], ctx.q))}
+
 
 def _p2_delta(ctx, ms, delta):
-    m, s = ms
-    inner = _inner((0, delta), (1, 1), (1 << m, 1))
-    return ((1, inner, -s),), (
+    m = ms[0]
+    return (
         ChecklistEntry("2 does not divide m", m % 2 == 1, f"m={m:d}"),
-        _entry_member(ctx, "delta in F_(2^m)", delta, m, ()),
+        ChecklistEntry("delta in F_(2^m)", ctx.in_subfield(m, delta),
+                       f"value {ctx.format_element(delta)}"),
     )
 
 
@@ -303,8 +298,9 @@ def _p2_b(ctx, ms, b):
     mod = (1 << (2 * m)) - 1
     residue = (((1 << m) + 2) * (-s)) % mod
     target = (1 << m) - 1
-    return _b_term(b), (
-        _entry_member(ctx, "b in F_(2^m)\\F_2", b, m, (0, 1)),
+    return (
+        ChecklistEntry("b in F_(2^m)\\F_2", ctx.in_subfield(m, b) and b not in (0, 1),
+                       f"value {ctx.format_element(b)}"),
         ChecklistEntry("(2^m+2)(-s) = 2^m-1 (mod 2^(2m)-1)",
                        residue == target,
                        f"residue {residue}, target {target}; reported only, "
@@ -367,20 +363,16 @@ def _make_p4(ctx, d):
 
 
 def _p5_delta(ctx, m, delta):
-    inner = _inner((0, delta), (1, 1), (1 << m, 1))
-    exp = (1 << (2 * m - 1)) + (1 << (m - 1))
     tr = ctx.relative_trace(m, delta)
-    return ((1, inner, exp),), (
-        ChecklistEntry("Tr_m^(2m)(delta) != 0", tr != 0,
-                       f"trace {ctx.format_element(tr)}"),
-    )
+    return (ChecklistEntry("Tr_m^(2m)(delta) != 0", tr != 0,
+                           f"trace {ctx.format_element(tr)}"),)
 
 
 def _p5_b(ctx, m, b):
     b_pm = ctx.frobenius(b, m)
     lhs = ctx.add(b_pm, b)
     rhs = ctx.mul(b_pm, b)
-    return _b_term(b), (
+    return (
         ChecklistEntry("b not in F_(2^m)", b_pm != b, f"b={ctx.format_element(b)}"),
         ChecklistEntry(NECESSITY_CLAUSE["P5"], lhs == rhs,
                        f"b^(2^m)+b={ctx.format_element(lhs)}, "
@@ -391,46 +383,16 @@ def _p5_b(ctx, m, b):
 
 
 def _p6_delta(ctx, k, delta):
-    inner = _inner((0, delta), (1, 1), (2, 1))
-    exp = (1 << (2 * k - 1)) - (1 << (k - 1))
     tr = ctx.relative_trace(1, delta)
-    return ((1, inner, exp),), (
+    return (
         ChecklistEntry("k > 1", k > 1, f"k={k:d}"),
         ChecklistEntry("Tr_1^n(delta) = 1", tr == 1, f"trace {ctx.format_element(tr)}"),
     )
 
 
 def _p6_b(ctx, k, b):
-    return _b_term(b), (
-        ChecklistEntry(NECESSITY_CLAUSE["P6"],
-                       b != 0 and ctx.in_subfield(k, b), f"b={ctx.format_element(b)}"),
-    )
-
-
-def _make_b_delta(delta_part, b_part, *field_names):
-    """Maker for a family whose poly is (delta part's term) + b*x and whose
-    clauses are the delta part's, then the b part's.  Each part takes the
-    value of the field parameters, then its own element: one value for one
-    name, else the tuple of them."""
-    field_value = operator.itemgetter(*field_names)
-
-    def make(ctx, d):
-        f = field_value(d)
-        head, delta_entries = _part(ctx, delta_part, f, d["delta"])
-        tail, b_entries = _part(ctx, b_part, f, d["b"])
-        return (CompositePoly(head + tail),
-                HypothesisChecklist(delta_entries + b_entries))
-    return make
-
-
-_MAKERS = {
-    "P1": _make_p1,
-    "P2": _make_b_delta(_p2_delta, _p2_b, "m", "s"),
-    "P3": _make_p3,
-    "P4": _make_p4,
-    "P5": _make_b_delta(_p5_delta, _p5_b, "m"),
-    "P6": _make_b_delta(_p6_delta, _p6_b, "k"),
-}
+    return (ChecklistEntry(NECESSITY_CLAUSE["P6"], b != 0 and ctx.in_subfield(k, b),
+                           f"b={ctx.format_element(b)}"),)
 
 
 def make_family(params):
@@ -443,36 +405,18 @@ def make_family(params):
     """
     validate_params(params)
     d = vars(params)
-    return _MAKERS[d["family"]](d["ctx"], d)
+    return FAMILIES[d["family"]].make(d["ctx"], d)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _domains(family, fp, elems):
-    """Values of each enumerated parameter in SCHEMA order, drawn from the
-    field's elements `elems` (canonical order, zero first)."""
-    if family == "P4":
-        return [_p4_exponents(fp["q"], fp["e"]), elems[1:]]
-    if family == "P6":
-        return [elems[1:], elems]
-    return [elems, elems]
-
-
 def check_enumeration_guard(family, field_params):
-    """Size of the parameter domain, computed before any field is built,
-    from q = p^n and the count of P4's allowed r (1 when e <= 2, else 2);
-    a field above the size bound is refused before q is computed."""
+    """Size of the parameter domain, computed before any field is built; a
+    field above the size bound is refused before q is computed."""
     q = check_order(*family_field_shape(family, field_params))
-    if family == "P4":
-        size = (1 if field_params["e"] <= 2 else 2) * (q - 1)
-    else:
-        size = (q - 1 if family == "P6" else q) * q
-    if size > ENUMERATION_GUARD:
-        raise ValueError(f"parameter space has {size} combinations, "
-                         f"above the guard of {ENUMERATION_GUARD}")
-    return size
+    return FAMILIES[family].domain_size(field_params, q)
 
 
 def iter_family(family, field_params, ctx=None, modulus=None):
@@ -481,18 +425,18 @@ def iter_family(family, field_params, ctx=None, modulus=None):
     check_enumeration_guard(family, field_params)
     if ctx is None:
         ctx = field_for_family(family, field_params, modulus)
-    outer, inner = SCHEMA[family][1]
-    outer_values, inner_values = _domains(family, field_params,
-                                          ctx.elements_in_order())
-    if family == "P1":
-        exp_c = _p1_c_exponent(field_params["m"], ctx.q)
+    fam = FAMILIES[family]
+    outer, inner = fam.enumerated
+    outer_axis, inner_axis = fam.axes
+    elems = ctx.elements_in_order()
+    inner_values = inner_axis(field_params, elems)
     # each tuple is FamilyParams(**row), built without the frozen __init__'s
     # one setattr per field
     row, new = dict(vars(FamilyParams(family, ctx, **field_params))), object.__new__
-    for u in outer_values:
+    for u in outer_axis(field_params, elems):
         row[outer] = u
-        if family == "P1":          # P1's outer parameter is b
-            row["c"] = ctx.pow(u, exp_c)
+        if fam.derive:
+            row.update(fam.derive(ctx, field_params, u))
         for v in inner_values:
             row[inner] = v
             params = new(FamilyParams)
@@ -525,6 +469,70 @@ def _brute_preimages(ctx, poly, d):
     return np.flatnonzero(evaluate_all(ctx, poly) == d).tolist()
 
 
+def _p1_identity(ctx, params, poly, d):
+    m = params.m
+    b, delta = params.b, params.delta
+    c = (params.c if params.c is not None
+         else ctx.pow(b, _p1_c_exponent(m, ctx.q)))
+    # invertible: k is odd (a gating clause), so gcd(2^m+1, 2^(mk)-1) = 1
+    e_inv = pow((1 << m) + 1, -1, ctx.q - 1)
+    b_pm = ctx.pow(b, 1 << m)
+    rhs = ctx.add(
+        ctx.add(ctx.div(c, ctx.mul(b_pm, b)),
+                ctx.div(ctx.frobenius(delta, m), b_pm)),
+        ctx.add(ctx.div(ctx.mul(c, delta), b), d))
+    z = ctx.pow(rhs, e_inv)
+    y = ctx.add(z, ctx.inv(b_pm))
+    x_sol = ctx.div(ctx.add(y, delta), b)
+    return (evaluate(ctx, poly, x_sol) == d
+            and _brute_preimages(ctx, poly, d) == [x_sol])
+
+
+def _p2_identity(ctx, params, poly, d):
+    m, b, delta = params.m, params.b, params.delta
+    inner = SparsePoly.make(ctx, [(1 << m, 1), (1, 1), (0, delta)])
+    # whether the inner base vanishes at d/b
+    w = ctx.add(ctx.add(ctx.div(ctx.frobenius(d, m), ctx.frobenius(b, m)),
+                        ctx.div(d, b)), delta)
+    x_zero = ctx.div(d, b)
+    x_main = ctx.div(ctx.add(d, 1), b)
+    sols = _brute_preimages(ctx, poly, d)
+    if w == 0:
+        # the other candidate makes the inner base vanish as well, so its
+        # image is d+1, not d
+        return (sols == sorted({x_zero})
+                and evaluate(ctx, inner, x_main) == 0
+                and evaluate(ctx, poly, x_main) == ctx.add(d, 1))
+    return (sols == sorted({x_main})
+            and evaluate(ctx, poly, x_zero) != d)
+
+
+def _p3_identity(ctx, params, poly, d):
+    m, bprime, b = params.m, params.bprime, params.b
+    b_exp = ctx.pow(b, (1 << m) - 1)
+    cubic = CompositePoly.monomials(ctx, [
+        (3, 1),
+        (2, ctx.mul(bprime, b_exp)),
+        (1, ctx.frobenius(bprime, m)),
+        (0, b_exp),
+    ])
+    cubic_vals = evaluate_all(ctx, cubic)
+    roots = set(np.flatnonzero(cubic_vals == 0).tolist())
+    double_root = ctx.pow(bprime, 1 << (m - 1))
+    third_root = ctx.mul(b_exp, bprime)
+    roots_named = roots <= {double_root, third_root}
+    both_are_roots = (int(cubic_vals[double_root]) == 0
+                      and int(cubic_vals[third_root]) == 0)
+    # double root: lambda^4 would equal bprime^(2^m) = 1/bprime, the
+    # excluded case where the subfield coefficient vanishes
+    excluded_case = ctx.pow(double_root, 2) == ctx.inv(bprime)
+    # third root: 1 + bprime*lambda^4 = 0, forcing b*lambda = 0
+    forces_zero = ctx.add(1, ctx.mul(bprime, ctx.pow(third_root, 2))) == 0
+    kernel = _brute_preimages(ctx, poly, 0)
+    return (roots_named and both_are_roots and excluded_case
+            and forces_zero and kernel == [0])
+
+
 def proof_identity_check(family, params, d=None):
     """Verify the solution-structure identities inside each construction.
 
@@ -537,87 +545,24 @@ def proof_identity_check(family, params, d=None):
     P3: every root of the cubic constraining the circle component of a
         would-be kernel element hits a contradiction, so the kernel is
         trivial (cross-checked by direct enumeration).
+
+    `family` must name params.family.  Its record's proof(ctx, params, poly,
+    d) runs once every gating clause (every clause, if proof_strict) holds,
+    else proof_needs is formatted with the failing clause's name.
     """
+    if family != params.family:
+        raise ValueError(f"family {family!r} is not params.family {params.family!r}")
     poly, checklist = make_family(params)
-    ctx = params.ctx
-
-    if family == "P1":
-        if not checklist.satisfied():
-            raise ValueError("P1 identity check needs satisfying parameters")
-        if d is None:
-            raise ValueError("P1 identity check needs a target value d")
-        m = params.m
-        b, delta = params.b, params.delta
-        c = (params.c if params.c is not None
-             else ctx.pow(b, _p1_c_exponent(m, ctx.q)))
-        e = (1 << m) + 1
-        if math.gcd(e, ctx.q - 1) != 1:
-            raise ValueError("2^m+1 is not invertible mod q-1")
-        e_inv = pow(e, -1, ctx.q - 1)
-        b_pm = ctx.pow(b, 1 << m)
-        rhs = ctx.add(
-            ctx.add(ctx.div(c, ctx.mul(b_pm, b)),
-                    ctx.div(ctx.frobenius(delta, m), b_pm)),
-            ctx.add(ctx.div(ctx.mul(c, delta), b), d))
-        z = ctx.pow(rhs, e_inv)
-        y = ctx.add(z, ctx.inv(b_pm))
-        x_sol = ctx.div(ctx.add(y, delta), b)
-        return (evaluate(ctx, poly, x_sol) == d
-                and _brute_preimages(ctx, poly, d) == [x_sol])
-
-    if family == "P2":
-        for e in checklist.entries:
-            if not e.ok:
-                raise ValueError(f"P2 identity check needs all hypotheses "
-                                 f"including the exponent congruence; "
-                                 f"failing: {e.name}")
-        if d is None:
-            raise ValueError("P2 identity check needs a target value d")
-        m, b, delta = params.m, params.b, params.delta
-        inner = SparsePoly.make(ctx, [(1 << m, 1), (1, 1), (0, delta)])
-        # whether the inner base vanishes at d/b
-        w = ctx.add(ctx.add(ctx.div(ctx.frobenius(d, m), ctx.frobenius(b, m)),
-                            ctx.div(d, b)), delta)
-        x_zero = ctx.div(d, b)
-        x_main = ctx.div(ctx.add(d, 1), b)
-        sols = _brute_preimages(ctx, poly, d)
-        if w == 0:
-            # the other candidate makes the inner base vanish as well, so its
-            # image is d+1, not d
-            return (sols == sorted({x_zero})
-                    and evaluate(ctx, inner, x_main) == 0
-                    and evaluate(ctx, poly, x_main) == ctx.add(d, 1))
-        return (sols == sorted({x_main})
-                and evaluate(ctx, poly, x_zero) != d)
-
-    if family == "P3":
-        if not checklist.satisfied():
-            raise ValueError("P3 identity check needs satisfying parameters")
-        m, bprime, b = params.m, params.bprime, params.b
-        b_exp = ctx.pow(b, (1 << m) - 1)
-        cubic = CompositePoly.monomials(ctx, [
-            (3, 1),
-            (2, ctx.mul(bprime, b_exp)),
-            (1, ctx.frobenius(bprime, m)),
-            (0, b_exp),
-        ])
-        cubic_vals = evaluate_all(ctx, cubic)
-        roots = set(np.flatnonzero(cubic_vals == 0).tolist())
-        double_root = ctx.pow(bprime, 1 << (m - 1))
-        third_root = ctx.mul(b_exp, bprime)
-        roots_named = roots <= {double_root, third_root}
-        both_are_roots = (int(cubic_vals[double_root]) == 0
-                          and int(cubic_vals[third_root]) == 0)
-        # double root: lambda^4 would equal bprime^(2^m) = 1/bprime, the
-        # excluded case where the subfield coefficient vanishes
-        excluded_case = ctx.pow(double_root, 2) == ctx.inv(bprime)
-        # third root: 1 + bprime*lambda^4 = 0, forcing b*lambda = 0
-        forces_zero = ctx.add(1, ctx.mul(bprime, ctx.pow(third_root, 2))) == 0
-        kernel = _brute_preimages(ctx, poly, 0)
-        return (roots_named and both_are_roots and excluded_case
-                and forces_zero and kernel == [0])
-
-    raise ValueError(f"no proof identity check for family {family!r}")
+    fam = FAMILIES[family]
+    if fam.proof is None:
+        raise ValueError(f"no proof identity check for family {family!r}")
+    for e in checklist.entries:
+        if not e.ok and (e.gating or fam.proof_strict):
+            raise ValueError(f"{family} identity check needs "
+                             + fam.proof_needs.format(e.name))
+    if fam.proof_takes_d and d is None:
+        raise ValueError(f"{family} identity check needs a target value d")
+    return fam.proof(params.ctx, params, poly, d)
 
 
 def kernel_is_trivial(ctx, poly):
@@ -625,3 +570,56 @@ def kernel_is_trivial(ctx, poly):
     values = evaluate_all(ctx, poly)
     zeros = np.count_nonzero(np.asarray(values) == 0)
     return zeros == 1 and int(values[0]) == 0
+
+
+def _b_delta_family(field, l_exp, h_exp, delta_clauses, b_clauses,
+                    b_values=_elements, **facts):
+    """Record of a family g(x) = (x^l + x + delta)^h + b*x over GF(2^(2t)),
+    t its first field parameter, with l = l_exp(f) and h = h_exp(f) for the
+    value f of the field parameters (one value for one name, else the tuple
+    of them).  delta_clauses(ctx, f, delta) and b_clauses(ctx, f, b) build
+    the clauses on delta and on b."""
+    field_value = operator.itemgetter(*field)
+
+    def delta_part(ctx, f, delta):
+        inner = _inner((0, delta), (1, 1), (l_exp(f), 1))
+        return ((1, inner, h_exp(f)),), delta_clauses(ctx, f, delta)
+
+    def make(ctx, d):
+        f, b = field_value(d), d["b"]
+        head, delta_entries = _part(ctx, delta_part, f, d["delta"])
+        b_x = ((b, _X, 1),) if b else ()     # as CompositePoly.make keeps it
+        return (CompositePoly(head + b_x),
+                HypothesisChecklist(delta_entries + _part(ctx, b_clauses, f, b)))
+    return Family(field, ("b", "delta"), (b_values, _elements),
+                  lambda fp: (2, 2 * fp[field[0]]), make, **facts)
+
+
+FAMILIES = _Table({
+    # (b*x + delta)^(2^m+1) + x^(2^m) + c*x over GF(2^(m*k))
+    "P1": Family(("m", "k"), ("b", "delta"), (_elements, _elements),
+                 lambda fp: (2, fp["m"] * fp["k"]), _make_p1,
+                 optional=("c",), derive=_p1_derived_c, proof=_p1_identity),
+    "P2": _b_delta_family(
+        ("m", "s"), lambda ms: 1 << ms[0], lambda ms: -ms[1], _p2_delta, _p2_b,
+        proof=_p2_identity, proof_strict=True, proof_needs="all hypotheses "
+        "including the exponent congruence; failing: {}"),
+    # x^(2^(m+1)) + bprime*x^2 + b*x over GF(2^(2m))
+    "P3": Family(("m",), ("bprime", "b"), (_elements, _elements),
+                 lambda fp: (2, 2 * fp["m"]), _make_p3,
+                 proof=_p3_identity, proof_takes_d=False),
+    # x^r (x^(q-1) + a), stored expanded, over GF(q^e)
+    "P4": Family(("q", "e"), ("r", "a"),
+                 (lambda fp, elems: _p4_exponents(fp["q"], fp["e"]), _nonzero),
+                 _prime_power, _make_p4),
+    "P5": _b_delta_family(
+        ("m",), lambda m: 1 << m, lambda m: (1 << (2 * m - 1)) + (1 << (m - 1)),
+        _p5_delta, _p5_b, necessity="b^(2^m)+b = b^(2^m+1)"),
+    "P6": _b_delta_family(
+        ("k",), lambda k: 2, lambda k: (1 << (2 * k - 1)) - (1 << (k - 1)),
+        _p6_delta, _p6_b, b_values=_nonzero, necessity="b in F_(2^k)\\{0}"),
+})
+FAMILY_IDS = tuple(FAMILIES)
+# clause tested by scan_necessity, per family that has one
+NECESSITY_CLAUSE = {fid: fam.necessity for fid, fam in FAMILIES.items()
+                    if fam.necessity is not None}

@@ -7,10 +7,10 @@ of the designated condition and fills a 2x2 confusion matrix over
 (condition holds, is permutation); it passes when the off-diagonal cells
 are exactly zero.
 
-Which parameters a family takes, and which of them are enumerated, comes
-from families.SCHEMA; the CSV parameter columns follow INT_PARAMS and
-ELEMENT_PARAMS.  Each evaluated tuple leaves a row of plain values, kept
-only up to the row cap, and its elements are formatted only when the
+A family's parameters, enumerated axes and necessity clause come from its
+record in families.FAMILIES; the CSV parameter columns follow INT_PARAMS
+and ELEMENT_PARAMS.  Each evaluated tuple leaves a row of plain values,
+kept only up to the row cap, and its elements are formatted only when the
 report is written as CSV.  One verdict loop serves both modes:
 `_condition` says whether a tuple is skipped, and otherwise whether the
 tested condition holds, which is the expected permutation verdict.
@@ -28,9 +28,9 @@ import operator
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .families import (ELEMENT_PARAMS, INT_PARAMS, NECESSITY_CLAUSE,
-                       check_enumeration_guard, family_field_shape,
-                       field_for_family, iter_family)
+from .families import (ELEMENT_PARAMS, FAMILIES, INT_PARAMS, NECESSITY_CLAUSE,
+                       family_field_shape, field_for_family, iter_family)
+from .field import check_order
 from .perm import is_permutation
 
 DISCREPANCY_CAP = 100
@@ -148,19 +148,19 @@ def _condition(checklist, cond_name):
 
 
 def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
-    domain = check_enumeration_guard(family, field_params)
-    if mode == "necessity" and family not in NECESSITY_CLAUSE:
+    q = check_order(*family_field_shape(family, field_params))
+    domain = FAMILIES[family].domain_size(field_params, q)   # the enumeration guard
+    cond_name = FAMILIES[family].necessity if mode == "necessity" else None
+    if mode == "necessity" and cond_name is None:
         raise ValueError(f"necessity scans exist only for "
                          f"{sorted(NECESSITY_CLAUSE)}; got {family}")
-    p, n = family_field_shape(family, field_params)
-    work = scan_work(domain, p ** n)
+    work = scan_work(domain, q)
     if work > WORK_GUARD:
         raise ValueError(f"scan work estimate {work:.3g} ({domain} tuples, each "
-                         f"built and checked on {p ** n} elements) is above the "
+                         f"built and checked on {q} elements) is above the "
                          f"guard of {WORK_GUARD:.3g}")
     if ctx is None:
         ctx = field_for_family(family, field_params, modulus)
-    cond_name = NECESSITY_CLAUSE[family] if mode == "necessity" else None
     start = time.perf_counter()
 
     # Sampling pre-pass: necessity scans evaluate the condition-violating

@@ -5,7 +5,7 @@ import pytest
 
 from permupoly import circle, families, field, scan
 from permupoly.cli import main
-from permupoly.families import ELEMENT_PARAMS, INT_PARAMS, SCHEMA
+from permupoly.families import ELEMENT_PARAMS, FAMILIES, INT_PARAMS
 
 
 def run(capsys, *argv):
@@ -262,7 +262,7 @@ def test_out_of_range_modulus_code(capsys, argv, degree):
     assert err == f"error: modulus must be monic of degree {degree}\n"
 
 
-# one valid flag set per family; the cases below come from families.SCHEMA
+# one valid flag set per family; the cases below come from families.FAMILIES
 FAMILY_FLAGS = {
     "P1": {"m": "2", "k": "3", "b": "g^1", "delta": "g^3", "c": "g^48"},
     "P2": {"m": "3", "s": "6", "b": "g^9", "delta": "g^18"},
@@ -278,7 +278,9 @@ def _flags(values):
 
 
 def _schema_cases():
-    for fam, (field, enumerated, optional) in SCHEMA.items():
+    for fam, record in FAMILIES.items():
+        field, enumerated, optional = (record.field, record.enumerated,
+                                       record.optional)
         for name in field:
             for cmd in ("family", "scan"):
                 yield cmd, fam, name, None, f"error: family {fam} needs --{name}\n"
@@ -294,7 +296,9 @@ def _schema_cases():
 @pytest.mark.parametrize("cmd, family, drop, extra, message",
                          list(_schema_cases()))
 def test_schema_driven_flag_errors(capsys, cmd, family, drop, extra, message):
-    assert set(FAMILY_FLAGS[family]) == set(sum(SCHEMA[family], ()))
+    record = FAMILIES[family]
+    assert set(FAMILY_FLAGS[family]) == set(
+        record.field + record.enumerated + record.optional)
     values = {k: v for k, v in FAMILY_FLAGS[family].items() if k != drop}
     if extra is not None:
         values[extra] = "1"
@@ -302,10 +306,10 @@ def test_schema_driven_flag_errors(capsys, cmd, family, drop, extra, message):
     assert (code, out, err) == (2, "", message)
 
 
-@pytest.mark.parametrize("family", sorted(SCHEMA))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_scan_refuses_flags_it_would_ignore(capsys, family):
     # a scan enumerates everything but the field parameters itself
-    field_names = SCHEMA[family][0]
+    field_names = FAMILIES[family].field
     values = {k: v for k, v in FAMILY_FLAGS[family].items() if k in field_names}
     for name in INT_PARAMS + ELEMENT_PARAMS:
         if name not in field_names:

@@ -187,7 +187,6 @@ def test_param_validation_messages(gf64, gf256):
                 "P6 parameter k must be a positive integer")
 
 
-
 # every entry point names an unknown family in the one text
 @pytest.mark.parametrize("call", [
     lambda ctx: make_family(FamilyParams(family="P9", ctx=ctx)),
@@ -200,6 +199,7 @@ def test_param_validation_messages(gf64, gf256):
 def test_unknown_family_text(gf64, call):
     with pytest.raises(ValueError, match="^unknown family 'P9'$"):
         call(gf64)
+
 
 # -- the per-field memo of terms and clauses ---------------------------------
 
@@ -304,7 +304,8 @@ def reference_role_error(fam, d):
     """The first parameter, in INT_PARAMS + ELEMENT_PARAMS order, that fam
     requires and d lacks or that d sets and fam does not take: the walk
     validate_params once made over a table of (name, required, allowed)."""
-    field, enum, opt = families.SCHEMA[fam]
+    record = families.FAMILIES[fam]
+    field, enum, opt = record.field, record.enumerated, record.optional
     for name in families.INT_PARAMS + families.ELEMENT_PARAMS:
         required, allowed = name in field + enum, name in field + enum + opt
         if d[name] is None:
@@ -330,7 +331,7 @@ ROLE_VALUES = {
 def test_validation_matches_the_reference_walk(family):
     names = families.INT_PARAMS + families.ELEMENT_PARAMS
     values = {n: ROLE_VALUES[family].get(n, 1) for n in names}
-    ctx = field_for_family(family, {n: values[n] for n in families.SCHEMA[family][0]})
+    ctx = field_for_family(family, {n: values[n] for n in families.FAMILIES[family].field})
     for pattern in range(1 << len(names)):
         d = {n: values[n] if pattern >> i & 1 else None
              for i, n in enumerate(names)}
@@ -505,6 +506,16 @@ def test_identity_rejects_violating_params(p1_ctx):
         proof_identity_check("P1", params, d=0)
 
 
+def test_identity_check_refuses_another_familys_params(p1_ctx):
+    # run on P1's polynomial, P2's identity would read as a failure and
+    # P3's would raise TypeError
+    params = params_for("P1", p1_ctx, m=2, k=3, b=p1_ctx.gen_pow(1),
+                        delta=p1_ctx.gen_pow(3))
+    for family in ("P2", "P3"):
+        text = f"family '{family}' is not params.family 'P1'"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            proof_identity_check(family, params, d=1)
+
 
 @pytest.mark.parametrize("family, field_params, values", [
     ("P4", {"q": 5, "e": 4}, dict(r=1, a=1)),
@@ -517,6 +528,7 @@ def test_no_identity_check_text(family, field_params, values):
     with pytest.raises(ValueError,
                        match=f"^no proof identity check for family '{family}'$"):
         proof_identity_check(family, params, d=1)
+
 
 def test_family_text_smoke(p1_ctx):
     poly, _ = make_family(params_for("P1", p1_ctx, m=2, k=3,

@@ -8,7 +8,7 @@ import pytest
 import permupoly.scan as scan_mod
 from permupoly import (load_report, scan_necessity, scan_sufficiency,
                        write_report)
-from permupoly.families import field_for_family
+from permupoly.families import NECESSITY_CLAUSE, field_for_family
 from permupoly.scan import report_json
 
 
@@ -188,7 +188,7 @@ def test_scan_builds_each_tuple_once(monkeypatch, family, field_params, tuples):
         return real(params)
 
     monkeypatch.setattr(families_mod, "make_family", counting)
-    scan = scan_necessity if family in ("P5", "P6") else scan_sufficiency
+    scan = scan_necessity if family in NECESSITY_CLAUSE else scan_sufficiency
     scan(family, field_params)
     assert len(calls) == len(set(calls)) == tuples
 
@@ -211,7 +211,7 @@ def test_work_guard(monkeypatch, family, field_params, admitted):
         raise FieldBuilt
 
     monkeypatch.setattr(scan_mod, "field_for_family", build)
-    scan = scan_necessity if family in ("P5", "P6") else scan_sufficiency
+    scan = scan_necessity if family in NECESSITY_CLAUSE else scan_sufficiency
     with pytest.raises(FieldBuilt if admitted else ValueError,
                        match=None if admitted else "work estimate"):
         scan(family, field_params)
@@ -280,7 +280,7 @@ PINNED_SCANS = [
                                            "P5", "P6", "P6-sampled"])
 def test_pinned_report_bytes(tmp_path, scans, family, field_params, kwargs,
                              json_sha, csv_sha):
-    scan = scan_necessity if family in ("P5", "P6") else scan_sufficiency
+    scan = scan_necessity if family in NECESSITY_CLAUSE else scan_sufficiency
     ctx = field_for_family(family, field_params)
     for _ in range(scans):
         rep = scan(family, field_params, ctx=ctx, **kwargs)
