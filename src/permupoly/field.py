@@ -5,7 +5,9 @@ over GF(p) is packed as the base-p integer sum(c_i * p^i), so the constant
 term is the least significant digit.  For p = 2 this is the usual bit
 vector.  A FieldCtx owns the modulus, a generator, and discrete-log
 tables, which are read-only numpy arrays; every field has them, since
-check_order refuses any q above TABLE_BOUND before work starts.  All
+check_order refuses any q above TABLE_BOUND before work starts.  Every
+code and log fits in int32 below that bound, so the tables are int32, and
+so is every value array the vector kernels return.  All
 operations are pure and the context is immutable after construction, apart
 from the bounded memo of composite powers that poly.evaluate_all keeps in it.
 """
@@ -266,9 +268,9 @@ class FieldCtx:
         self.modulus_code = _code_of(modulus, p)
         self.generator = 1
         self._qm1 = self.q - 1
-        self._P = None                              # points 0, g^0, g^1, ...: int64, or None
+        self._P = None                              # points 0, g^0, g^1, ...: int32, or None
         self._E = None                              # E[i] = code of g^i: the view P[1:]
-        self._L = None                              # L[code] = i, int64, L[0] = 0
+        self._L = None                              # L[code] = i, int32, L[0] = 0
         self._Z = None                              # odd p: Z[i] = log(1 + g^i)
         # memoryview(E) and memoryview(L) once the tables are built, so that
         # scalar reads give int; until then, reads raise
@@ -288,11 +290,11 @@ class FieldCtx:
         """exp/log tables (and the Zech table for odd p) from the generator,
         all read-only; the exp table is a view into the canonical points."""
         p, qm1 = self.p, self._qm1
-        P = np.empty(self.q, dtype=np.int64)
+        P = np.empty(self.q, dtype=np.int32)
         P[0] = 0
         E = _generator_powers(self, out=P[1:])
-        L = np.full(self.q, -1, dtype=np.int64)
-        L[E] = np.arange(qm1, dtype=np.int64)
+        L = np.full(self.q, -1, dtype=np.int32)
+        L[E] = np.arange(qm1, dtype=np.int32)
         if (self._mul_notable(int(E[-1]), self.generator) != 1
                 or np.count_nonzero(L < 0) != 1):
             raise ValueError("generator does not have full multiplicative order")
@@ -487,7 +489,10 @@ class FieldCtx:
         E, L = self._tables()
         if e == 0:
             return np.ones_like(A)
-        out = E[(L[A] * (e % self._qm1)) % self._qm1]
+        # log x * e passes 2^31, so the product is formed in int64
+        idx = np.multiply(L.take(A), e % self._qm1, dtype=np.int64)
+        idx %= self._qm1
+        out = E[idx]
         out[A == 0] = 0
         return out
 
@@ -503,7 +508,7 @@ class FieldCtx:
         qm1 = self._qm1
         k, e = self._log[c], e % qm1
         if logs is not None:
-            out = E[(logs * e + k) % qm1]
+            out = E[(np.multiply(logs, e, dtype=np.int64) + k) % qm1]
         elif e == 0:                    # x^(q-1) = 1 for x != 0
             out = np.full(self.q, E[k])
         elif e == 1:
@@ -565,10 +570,11 @@ class FieldCtx:
 
 
 def _wrap(x, m):
-    """x mod m in place, for an int64 array x with entries in [0, 2m).
-    Viewed as uint64, x - m wraps above x exactly when x < m, so the
-    smaller of the two is the residue; no entry is divided."""
-    u = x.view(np.uint64)
+    """x mod m in place, for an int32 or int64 array x with entries in
+    [0, 2m).  Viewed as uint32 or uint64 to match, x - m wraps above x
+    exactly when x < m, so the smaller of the two is the residue; no entry
+    is divided."""
+    u = x.view(np.uint32 if x.dtype == np.int32 else np.uint64)
     np.minimum(u, u - m, out=u)
     return x
 
@@ -597,27 +603,28 @@ def _digit_matrix(codes, p, n):
             ).astype(np.float64)
 
 
-_BYTE_BITS = (np.arange(256, dtype=np.int64)[:, None] >> np.arange(8)) & 1  # [v, j]: bit j of v
+# [v, j]: bit j of v
+_BYTE_BITS = (np.arange(256, dtype=np.int32)[:, None] >> np.arange(8, dtype=np.int32)) & 1
 
 
 def _xor_multiplier(ctx, c):
-    """p = 2: B -> c * B on an int64 array of codes, written into out when
+    """p = 2: B -> c * B on an int32 array of codes, written into out when
     it is given.  The product is GF(2)-linear on bits, so it is the XOR over
     bytes b of T_b[byte b of B], where T_b[v] = c * (v << 8b) is the XOR of
-    the c * x^j over the bits j of v << 8b."""
+    the c * x^j over the bits j of v << 8b.  The byte indices are intp,
+    which take reads without a cast."""
     n = ctx.n
     cols = np.array([ctx._mul_notable(c, 1 << j) for j in range(n)] + [0] * (-n % 8),
-                    dtype=np.int64)
+                    dtype=np.int32)
     T = np.bitwise_xor.reduce(cols.reshape(-1, 1, 8) * _BYTE_BITS, axis=2)
     top = len(T) - 1
 
     def times(B, out=None):
-        # codes are below 2^n, so the top byte needs no mask
-        idx = B & 255 if top else B
+        idx = np.bitwise_and(B, 255, dtype=np.intp)
         out = np.take(T[0], idx, out=out)
         for b in range(1, top + 1):
             np.right_shift(B, 8 * b, out=idx)
-            if b < top:
+            if b < top:             # codes are below 2^n, so the top byte needs no mask
                 idx &= 255
             out ^= T[b][idx]
         return out
@@ -645,7 +652,7 @@ def _matrix_multiplier(ctx, c):
 
 
 def _generator_powers(ctx, walk=TABLE_WALK, block=TABLE_BLOCK, out=None):
-    """g^0, ..., g^(q-2) as an int64 array, g = ctx.generator, written into
+    """g^0, ..., g^(q-2) as an int32 array, g = ctx.generator, written into
     out when it is given.
 
     Multiplication by a fixed c is GF(p)-linear on digit vectors.  The first
@@ -664,12 +671,12 @@ def _generator_powers(ctx, walk=TABLE_WALK, block=TABLE_BLOCK, out=None):
     powers = [1]
     while len(powers) < min(walk, qm1):
         powers.append(ctx._mul_notable(powers[-1], ctx.generator))
-    B = np.array(powers, dtype=np.int64) if p == 2 else _digit_matrix(powers, p, n)
+    B = np.array(powers, dtype=np.int32) if p == 2 else _digit_matrix(powers, p, n)
     c = ctx._mul_notable(powers[-1], ctx.generator)  # invariant: c = g^(width of B)
     while B.shape[-1] < min(block, qm1):
         B = np.concatenate([B, multiplier(ctx, c)(B)], axis=-1)
         c = ctx._mul_notable(c, c)
-    exp = np.empty(qm1, dtype=np.int64) if out is None else out
+    exp = np.empty(qm1, dtype=np.int32) if out is None else out
     width = B.shape[-1]
     exp[:width] = B[:qm1] if p == 2 else p ** np.arange(n, dtype=np.float64) @ B[:, :qm1]
     step = multiplier(ctx, c) if width < qm1 else None

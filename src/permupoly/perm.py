@@ -73,13 +73,13 @@ def _first_collision(ctx, values):
         if witness is not None:
             return witness
     head = values[:WITNESS_CHUNK + 1]
-    first = np.full(ctx.q, ctx.q, dtype=np.int64)
+    first = np.full(ctx.q, ctx.q, dtype=np.int32)  # positions are at most q <= 2^24
     first[head] = np.arange(len(head))      # distinct: the walk found none
     lo, size = len(head), WITNESS_CHUNK
     while lo < ctx.q:
         hi = min(lo + size, ctx.q)
         v = values[lo:hi]
-        pos = np.arange(lo, hi)
+        pos = np.arange(lo, hi, dtype=np.int32)
         np.minimum.at(first, v, pos)
         repeats = np.flatnonzero(first[v] < pos)
         if repeats.size:
@@ -94,11 +94,11 @@ def _report(ctx, f, values):
     """The verdict on f from its values, each side checked a second way: a
     full image by a scatter independent of the count, a witness by scalar
     re-evaluation."""
-    counts = np.bincount(values, minlength=ctx.q)
-    image_size = int(np.count_nonzero(counts))
+    index = values.astype(np.intp)      # one cast serves the count and the scatter
+    image_size = int(np.count_nonzero(np.bincount(index, minlength=ctx.q)))
     if image_size == ctx.q:
         hit = np.zeros(ctx.q, dtype=bool)
-        hit[values] = True
+        hit[index] = True
         if not hit.all():
             raise AssertionError("occupancy count and image scatter disagree")
         return PermReport(True, None, image_size)

@@ -12,10 +12,11 @@ import numpy as np
 
 MAX_EXPONENT = 1 << 62
 REDUCE_FIELD_BOUND = 1 << 12
-# Bytes of composite powers T^e that evaluate_all keeps per field.  It holds
-# all 256 bases of a q = 2^8 scan (512 KiB) and stays below one GF(2^20)
-# value array (8 MiB), so large-field checks store nothing.
-POWER_MEMO_BYTES = 1 << 20
+# Bytes of composite powers T^e that evaluate_all keeps per field: 2^17
+# int32 codes, or 512 entries at q = 2^8.  That holds all 256 bases of a
+# q = 2^8 scan and stays below one GF(2^20) value array (4 MiB), so
+# large-field checks store nothing.
+POWER_MEMO_BYTES = 1 << 19
 
 # the identity inner polynomial x
 X_TERMS = ((1, 1),)
@@ -186,7 +187,7 @@ def evaluate_all(ctx, f, order="code"):
     """
     _, L = ctx._tables()
     if order == "code":
-        X, logs = np.arange(ctx.q, dtype=np.int64), L
+        X, logs = np.arange(ctx.q, dtype=L.dtype), L
     elif order == "canonical":
         X, logs = ctx._P, None
     else:

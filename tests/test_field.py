@@ -6,10 +6,11 @@ import pytest
 
 from permupoly import (ReducibleModulusError, build_field, canonical_modulus,
                        is_irreducible, parse_field_descriptor)
-from permupoly import field
+from permupoly import CompositePoly, SparsePoly, evaluate, evaluate_all, field
 from permupoly.field import (_code_of, _digits_of, _generator_powers,
                              _prime_factors, _pmod, _progression, _rabin_tuples,
                              _trim, _wrap)
+from permupoly.poly import X_TERMS
 
 
 def brute_is_irreducible(f, p):
@@ -532,6 +533,59 @@ def test_tables_match_scalar_arithmetic_near_old_bound(big_field):
         assert ctx._mul_notable(a, inverse) == 1
         assert gen_power == _scalar_pow(ctx, g, k % qm1)
         assert 0 <= log < qm1 and _scalar_pow(ctx, g, log) == a
+
+
+# On these fields log x * e passes 2^31 for the exponents below, so an int32
+# product would wrap; the kernels must form it in int64
+@pytest.fixture(scope="module", params=[(2, 20), (5, 8)],
+                ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def wide_product_field(request):
+    return build_field(*request.param)
+
+
+def test_tables_are_read_only_int32(wide_product_field):
+    ctx = wide_product_field
+    tables = (ctx._P, ctx._E, ctx._L) + ((ctx._Z,) if ctx.p != 2 else ())
+    assert all(t.dtype == np.int32 and not t.flags.writeable for t in tables)
+    a = ctx.gen_pow(ctx.q - 2)
+    assert type(a) is int and type(ctx.log(a)) is int and ctx.log(a) == ctx.q - 2
+    assert ctx.format_element(a) == f"g^{ctx.q - 2}"
+
+
+def test_kernels_past_int32_log_products(wide_product_field):
+    """pow_vec, monomial_vec in both orders, scale_vec, mul_vec, add_vec and
+    _progression on 4,096 sampled points against the scalar evaluate and
+    ctx.pow, at exponents whose products with the logs pass 2^31."""
+    ctx, rng = wide_product_field, random.Random(f"wide:{wide_product_field.q}")
+    q, qm1 = ctx.q, ctx.q - 1
+    points = [0, 1, ctx.gen_pow(qm1 - 1)] + rng.sample(range(2, q), 4093)
+    A = np.array(points, dtype=np.int32)
+    positions = [0 if a == 0 else ctx.log(a) + 1 for a in points]
+    c = ctx.gen_pow(rng.randrange(qm1))
+    assert (qm1 - 1) * (q - 2) >= 1 << 31
+    for e in (q - 2, -(q - 2), (1 << 62) - 1, 3 * qm1):
+        f = CompositePoly(((c, SparsePoly(X_TERMS), e),))
+        want = [evaluate(ctx, f, a) for a in points]
+        powers = [ctx.pow(a, e) for a in points]
+        results = {
+            "pow_vec": (ctx.pow_vec(A, e), powers),
+            "monomial_vec code": (ctx.monomial_vec(c, e, ctx._L)[points], want),
+            "monomial_vec canonical": (ctx.monomial_vec(c, e)[positions], want),
+            "evaluate_all code": (evaluate_all(ctx, f, "code")[points], want),
+            "evaluate_all canonical": (evaluate_all(ctx, f, "canonical")[positions], want),
+        }
+        P = results["pow_vec"][0]
+        results["scale_vec"] = (ctx.scale_vec(c, P), [ctx.mul(c, x) for x in powers])
+        results["mul_vec"] = (ctx.mul_vec(A, P), [ctx.mul(a, x) for a, x in zip(points, powers)])
+        results["add_vec"] = (ctx.add_vec(A, P), [ctx.add(a, x) for a, x in zip(points, powers)])
+        for name, (got, expected) in results.items():
+            assert got.dtype == np.int32, (name, e)
+            assert got.tolist() == expected, (name, e)
+    steps = rng.sample(range(q), 4096)
+    for e in (q - 2, ((1 << 62) - 1) % qm1):
+        a = rng.randrange(qm1) - e
+        got = _progression(a, e, q, qm1)
+        assert got[steps].tolist() == [(a + i * e) % qm1 for i in steps], e
 
 
 def test_zech_add_vec_random_gf3_13():

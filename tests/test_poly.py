@@ -242,7 +242,7 @@ def test_power_memo_matches_scalar_and_unmemoised(p, n, monkeypatch):
     keys = {(order, base.terms, e) for f in fs for _, base, e in f.terms if e != 0
             for order in ("code", "canonical")}
     results = {}
-    for bound, stored in ((0, 0), (3 * ctx0.q * 8 + 1, 3),
+    for bound, stored in ((0, 0), (3 * ctx0.q * 4 + 1, 3),
                           (poly.POWER_MEMO_BYTES, len(keys))):
         monkeypatch.setattr(poly, "POWER_MEMO_BYTES", bound)
         ctx = build_field(p, n)
