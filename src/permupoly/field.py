@@ -7,7 +7,9 @@ vector.  A FieldCtx owns the modulus, a generator, and discrete-log
 tables, which are read-only numpy arrays; every field has them, since
 check_order refuses any q above TABLE_BOUND before work starts.  Every
 code and log fits in int32 below that bound, so the tables are int32, and
-so is every value array the vector kernels return.  All
+so is every value array the vector kernels return.  The odd-p add, the
+canonical-order monomial gather and the table build walk their arrays in
+KERNEL_BLOCK slices, so their temporaries stay the size of a slice.  All
 operations are pure and the context is immutable after construction, apart
 from the bounded memo of composite powers that poly.evaluate_all keeps in it.
 """
@@ -18,6 +20,7 @@ TABLE_BOUND = 1 << 24       # largest field order: every field has log tables
 TABLE_WALK = 64             # generator powers the table build takes by scalar multiply
 TABLE_BLOCK = 1 << 12       # generator powers per block step of the table build
 PROGRESSION_HEAD = 1 << 10  # progression entries monomial_vec computes by %
+KERNEL_BLOCK = 1 << 16      # entries per slice of the blocked kernels and the table build
 
 
 def bound_text(bound):
@@ -294,14 +297,18 @@ class FieldCtx:
         P[0] = 0
         E = _generator_powers(self, out=P[1:])
         L = np.full(self.q, -1, dtype=np.int32)
-        L[E] = np.arange(qm1, dtype=np.int32)
+        for lo, hi in _slices(qm1):         # intp indices scatter without a cast
+            L[E[lo:hi].astype(np.intp)] = np.arange(lo, hi, dtype=np.int32)
         if (self._mul_notable(int(E[-1]), self.generator) != 1
                 or np.count_nonzero(L < 0) != 1):
             raise ValueError("generator does not have full multiplicative order")
         if p != 2:
             # 1 + c only changes the constant digit of c, wrapping p-1 to 0;
             # Z[(q-1)/2] = -1 because 1 + g^((q-1)/2) = 1 + (-1) = 0
-            self._Z = L[E + np.where(E % p == p - 1, 1 - p, 1)]
+            self._Z = np.empty(qm1, dtype=np.int32)
+            for lo, hi in _slices(qm1):
+                c = E[lo:hi]
+                L.take(c + np.where(c % p == p - 1, 1 - p, 1), out=self._Z[lo:hi])
         L[0] = 0        # zero operands read log 0; every op masks or guards them
         for table in (P, L, self._Z):
             if table is not None:
@@ -431,32 +438,36 @@ class FieldCtx:
         return self._E, self._L
 
     def add_vec(self, A, B):
-        """A + B elementwise, as a new array; either operand may be one code."""
+        """A + B elementwise on 1-d arrays, as a new array; either operand may
+        be one code.  For odd p the Zech add runs one KERNEL_BLOCK slice at a
+        time, so its temporaries stay the size of a slice."""
         if self.p == 2:
             return np.bitwise_xor(A, B)
         if np.ndim(A) == 0:
             A, B = B, A                 # the sum commutes, so A is the array
-        # a + b = a * (1 + b/a) = g^(log a + Z[log b - log a]); zero operands
-        # read log 0, and their results are overwritten last
-        E, L = self._tables()
-        m = self._qm1
+        self._tables()                  # raises for a field without tables
+        out = np.empty(len(A), dtype=np.int32)
+        for lo, hi in _slices(len(A)):
+            self._zech_add(A[lo:hi], B[lo:hi] if np.ndim(B) else B, out[lo:hi])
+        return out
+
+    def _zech_add(self, A, B, out):
+        """One slice of the odd-p add_vec, written into out: a + b =
+        a * (1 + b/a) = g^(log a + Z[log b - log a]); zero operands read
+        log 0, and their results are overwritten last."""
+        L, m = self._L, self._qm1
         la = L.take(A)
         d = m - la
         d += L.take(B)
         _wrap(d, m)
         opposite = d == m // 2          # b = -a, where Z holds -1
         s = self._Z.take(d)
-        del d
         s += la
-        del la
         np.copyto(s, 0, where=opposite)  # there s = log a - 1, which is -1 at a = 1
-        out = E.take(_wrap(s, m))
-        del s
+        self._E.take(_wrap(s, m), out=out)
         np.copyto(out, 0, where=opposite)
-        del opposite
         np.copyto(out, B, where=A == 0)
         np.copyto(out, A, where=B == 0)
-        return out
 
     def neg_vec(self, A):
         if self.p == 2:
@@ -501,8 +512,9 @@ class FieldCtx:
 
         logs holds the points' discrete logs (L itself in code order); None
         means canonical order, where position i + 1 holds g^i.  The result
-        is one gather of the exp table at log c + e * log x: for canonical
-        order an arithmetic progression, and for e = 1 a rotation.
+        is a gather of the exp table at log c + e * log x: for canonical
+        order an arithmetic progression, taken one KERNEL_BLOCK slice at a
+        time, and for e = 1 a rotation.
         """
         E, _ = self._tables()
         qm1 = self._qm1
@@ -516,7 +528,13 @@ class FieldCtx:
             out[1:qm1 - k + 1] = E[k:]
             out[qm1 - k + 1:] = E[:k]
         else:                           # position 0 takes k - e, and is cleared
-            out = E[_progression(k - e, e, self.q, qm1)]
+            # one slice of the progression, moved on by e * KERNEL_BLOCK per slice
+            out = np.empty(self.q, dtype=np.int32)
+            idx = _progression(k - e, e, min(self.q, KERNEL_BLOCK), qm1)
+            for lo, hi in _slices(self.q):
+                if lo:
+                    _wrap(np.add(idx, e * KERNEL_BLOCK % qm1, out=idx), qm1)
+                E.take(idx[:hi - lo], out=out[lo:hi])
         out[0] = 0
         return out
 
@@ -567,6 +585,12 @@ class FieldCtx:
 
     def __repr__(self):
         return f"GF({self.p}^{self.n}, modulus={hex(self.modulus_code)})"
+
+
+def _slices(count):
+    """(lo, hi) bounds of the KERNEL_BLOCK slices that cover range(count), in
+    order; a count up to KERNEL_BLOCK is one slice."""
+    return ((lo, min(lo + KERNEL_BLOCK, count)) for lo in range(0, count, KERNEL_BLOCK))
 
 
 def _wrap(x, m):

@@ -475,12 +475,15 @@ def test_vector_kernels_match_scalar_ops(mid_field):
     assert np.array_equal(ctx._P, P) and not ctx._P.flags.writeable
 
 
-@pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])
+# 5^7 and 2^17 take more than one KERNEL_BLOCK slice
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 7), (2, 17)])
 def test_vector_kernel_results_are_fresh(p, n):
-    """Every kernel returns a new writable array, sharing no memory with
-    its operands or the tables, for each of its cases."""
+    """Every kernel returns a new writable int32 array, sharing no memory
+    with its operands or the tables, for each of its cases, and leaves its
+    operands and the read-only points array as they were."""
     ctx = build_field(p, n)
     A, B, c = ctx.monomial_vec(1, 3), ctx._P, ctx.gen_pow(2)
+    A_before, P_before = A.copy(), ctx._P.copy()
     results = {
         "add_vec": ctx.add_vec(A, B), "add_vec scalar": ctx.add_vec(A, c),
         "add_vec zero": ctx.add_vec(0, A), "neg_vec": ctx.neg_vec(A),
@@ -492,8 +495,101 @@ def test_vector_kernel_results_are_fresh(p, n):
         results[f"monomial_vec {e}"] = ctx.monomial_vec(c, e)
     shared = [x for x in (A, ctx._P, ctx._L, ctx._Z) if x is not None]
     for name, out in results.items():
-        assert out.flags.writeable, name
+        assert out.dtype == np.int32 and out.flags.writeable, name
         assert not any(np.shares_memory(out, x) for x in shared), name
+    assert np.array_equal(A, A_before) and A.flags.writeable
+    assert np.array_equal(ctx._P, P_before) and not ctx._P.flags.writeable
+
+
+# GF(2^17) is two full KERNEL_BLOCK slices, GF(5^7) one and a short one,
+# and GF(3^11) three, the last short
+SLICED_FIELDS = {(2, 17): 2, (5, 7): 2, (3, 11): 3}
+
+
+@pytest.fixture(scope="module", params=list(SLICED_FIELDS),
+                ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def sliced_field(request):
+    return build_field(*request.param)
+
+
+def slice_starts(ctx):
+    """The first position of every KERNEL_BLOCK slice after the first."""
+    assert field.KERNEL_BLOCK == 1 << 16
+    starts = list(range(field.KERNEL_BLOCK, ctx.q, field.KERNEL_BLOCK))
+    assert len(starts) + 1 == SLICED_FIELDS[ctx.p, ctx.n]
+    return starts
+
+
+def zech_add_reference(ctx, A, B):
+    """Whole-array a + b = g^(log a + log(1 + b/a)), with 1 + c formed from
+    c's constant digit, so it reads neither ctx._Z nor the slices."""
+    p, m = ctx.p, ctx.q - 1
+    E, L = ctx._E.astype(np.int64), ctx._L.astype(np.int64)
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=np.int64),
+                               np.asarray(B, dtype=np.int64))
+    ratio = E[(L[B] - L[A]) % m]
+    one_plus = ratio + np.where(ratio % p == p - 1, 1 - p, 1)
+    out = np.where(one_plus == 0, 0, E[(L[A] + L[one_plus]) % m])
+    return np.where(A == 0, B, np.where(B == 0, A, out))
+
+
+def test_tables_across_slices(sliced_field):
+    ctx = sliced_field
+    qm1 = ctx.q - 1
+    E = ctx._E.astype(np.int64)
+    assert ctx._L[ctx._E].tolist() == list(range(qm1))
+    if ctx.p != 2:
+        p = ctx.p
+        want = ctx._L[E + np.where(E % p == p - 1, 1 - p, 1)]
+        want[qm1 // 2] = -1         # 1 + (-1) = 0, read before L[0] is set to 0
+        assert ctx._Z.tolist() == want.tolist()
+
+
+def test_add_vec_across_slice_boundaries(sliced_field):
+    """add_vec against the whole-array reference, with each of zero a, zero
+    b, both zero, b = -a, and a = 1 with b = -1 placed at the positions
+    around every slice boundary and at the first and last; then a scalar
+    on either side."""
+    ctx, rng = sliced_field, np.random.default_rng(sliced_field.q)
+    q = ctx.q
+    places = [0, q - 1]
+    for lo in slice_starts(ctx):
+        places += [lo - 1, lo, lo + 1]
+    for case in ("zero a", "zero b", "both zero", "b = -a", "1 + -1"):
+        A = rng.integers(0, q, q, dtype=np.int32)
+        B = rng.integers(0, q, q, dtype=np.int32)
+        for i in places:
+            if case == "zero a" or case == "both zero":
+                A[i] = 0
+            if case == "zero b" or case == "both zero":
+                B[i] = 0
+            if case == "b = -a":
+                B[i] = ctx.neg(int(A[i]))
+            if case == "1 + -1":
+                A[i], B[i] = 1, ctx.neg(1)
+        want = zech_add_reference(ctx, A, B)
+        assert [int(want[i]) for i in places] == \
+            [ctx.add(int(A[i]), int(B[i])) for i in places], case
+        got = ctx.add_vec(A, B)
+        assert got.dtype == np.int32 and np.array_equal(got, want), case
+    for k in (0, 1, ctx.neg(1), ctx.gen_pow(7)):
+        want = zech_add_reference(ctx, A, k)
+        assert np.array_equal(ctx.add_vec(A, k), want), k
+        assert np.array_equal(ctx.add_vec(k, A), want), k
+
+
+def test_monomial_vec_across_slice_boundaries(sliced_field):
+    """Canonical-order c * x^e against one whole-array gather of the exp
+    table: position i + 1 holds c * g^(i e)."""
+    ctx = sliced_field
+    q, qm1 = ctx.q, ctx.q - 1
+    slice_starts(ctx)
+    for e in (2, 3, q - 2, q + 3):
+        for c in (1, ctx.gen_pow(5)):
+            want = np.zeros(q, dtype=np.int64)
+            want[1:] = ctx._E[(ctx.log(c) + np.arange(qm1) * e) % qm1]
+            got = ctx.monomial_vec(c, e)
+            assert got.dtype == np.int32 and np.array_equal(got, want), (e, c)
 
 
 def test_table_bound_boundary(monkeypatch):

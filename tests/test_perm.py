@@ -184,6 +184,72 @@ def test_witness_search_chunk_boundaries(monkeypatch, p, n, chunk):
     assert is_permutation(ctx, fs[-1]).witness == (0, ctx.gen_pow(10))
 
 
+def digit_add(ctx, A, B):
+    """A + B on codes, digit by digit in base p: shares no code with the
+    Zech add."""
+    p, w = ctx.p, 1
+    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
+    out = np.zeros(len(A), dtype=np.int64)
+    for _ in range(ctx.n):
+        out += (A // w + B // w) % p * w
+        w *= p
+    return out
+
+
+def code_order_monomial(ctx, c, e):
+    """c * x^e at every code, by one gather of the exp table at the logs."""
+    E, L = ctx._E.astype(np.int64), ctx._L.astype(np.int64)
+    out = E[(L[c] + L * e) % (ctx.q - 1)]
+    out[0] = 0
+    return out
+
+
+# Both fields are above KERNEL_BLOCK, so each kernel a check calls runs in
+# two or three slices.  3 divides neither q - 1, so the monomials that do
+# not permute have gcd(e, q - 1) = 2, or 4 over GF(5^7).
+@pytest.fixture(scope="module", params=[(5, 7), (3, 11)],
+                ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def sliced_field(request):
+    return build_field(*request.param)
+
+
+def test_checks_across_kernel_slices(sliced_field):
+    """is_permutation and is_complete_permutation against code-order values
+    formed by log gathers and digit_add, with the dict walk witness: the
+    P4 forms x^r (x^(p-1) + a) for both r and a on each side of the norm
+    clause, and monomials.  A P4 form permutes iff gcd(r, p - 1) = 1 and
+    norm(a) != (-1)^n; the larger r is even over both fields."""
+    ctx = sliced_field
+    p, n, q = ctx.p, ctx.n, ctx.q
+    assert q > field.KERNEL_BLOCK
+    norm_exp, minus_one_n = (q - 1) // (p - 1), ctx.pow(ctx.neg(1), n)
+    cases = []
+    for r in (1, sum(p ** i for i in range(2, n)) + 1):
+        for k in (4, 5, 6, 7):
+            a = ctx.gen_pow(k)
+            values = digit_add(ctx, code_order_monomial(ctx, 1, r + p - 1),
+                               code_order_monomial(ctx, a, r))
+            cases.append((f"x^{r + p - 1} + g^{k}*x^{r}", values,
+                          math.gcd(r, p - 1) == 1
+                          and ctx.pow(a, norm_exp) != minus_one_n))
+    assert {pp for _, _, pp in cases[:4]} == {True, False}    # r = 1
+    for g in (1, 2, 4):
+        if (q - 1) % g == 0:
+            e = next(e for e in range(3 * g, q, g) if math.gcd(e, q - 1) == g)
+            cases.append((f"x^{e}", code_order_monomial(ctx, 1, e), g == 1))
+    assert {pp for _, _, pp in cases} == {True, False}
+    X = np.arange(q)
+    for text, values, pp in cases:
+        f = parse_poly(ctx, text)
+        witness = dict_walk_witness(ctx, values.tolist())
+        rep = is_permutation(ctx, f)
+        assert rep.permutation == (witness is None) == pp, text
+        assert rep.witness == witness, text
+        assert rep.image_size == len(np.unique(values)), text
+        complete = pp and len(np.unique(digit_add(ctx, values, X))) == q
+        assert is_complete_permutation(ctx, f) == replace(rep, complete=complete), text
+
+
 @pytest.mark.parametrize("p,n,text", [
     (2, 14, "x^3"), (2, 14, "g^5*x^15 + g^9"), (3, 9, "x^2"), (3, 9, "g^4*x^6 + 1")])
 def test_witness_search_late(p, n, text):
