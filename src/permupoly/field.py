@@ -11,7 +11,9 @@ so is every value array the vector kernels return.  The odd-p add, the
 canonical-order monomial gather and the table build walk their arrays in
 KERNEL_BLOCK slices, so their temporaries stay the size of a slice.  All
 operations are pure and the context is immutable after construction, apart
-from the bounded memo of composite powers that poly.evaluate_all keeps in it.
+from its caches: poly.evaluate_all's bounded memo of composite powers
+(_powers), families._part's bounded memo of family terms and clauses
+(_parts), and the quadratic solver circle builds on first use (_as_solver).
 """
 
 import numpy as np
@@ -439,8 +441,10 @@ class FieldCtx:
 
     def add_vec(self, A, B):
         """A + B elementwise on 1-d arrays, as a new array; either operand may
-        be one code.  For odd p the Zech add runs one KERNEL_BLOCK slice at a
-        time, so its temporaries stay the size of a slice."""
+        be one code.  For p = 2 the XOR keeps its operands' dtype, so the
+        result is int32 because every caller passes int32 arrays.  For odd p
+        the result is int32, and the Zech add runs one KERNEL_BLOCK slice at
+        a time, so its temporaries stay the size of a slice."""
         if self.p == 2:
             return np.bitwise_xor(A, B)
         if np.ndim(A) == 0:

@@ -235,11 +235,13 @@ def reduce_mod_field(ctx, f):
 # ---------------------------------------------------------------------------
 # text syntax
 # ---------------------------------------------------------------------------
-#   poly   := term (('+' | '-') term)*
-#   term   := coeff | coeff '*'? factor ('^' int)? | factor ('^' int)?
-#   factor := 'x' | '(' poly ')'
-# Coefficients use the element syntax (0, 1, g^k, 0x.., 0b..); whitespace is
-# insignificant; '#' is not a comment here (files strip comments per line).
+#   poly  := term (('+' | '-') term)*
+#   term  := coeff '*'? | coeff? '*'? ('x' | '(' base ')') ('^' int)?
+#   base  := poly, with terms on 'x' only and exponents >= 0
+#   coeff := 'g' ('^' int)? | element literal (FieldCtx.parse_element)
+#   int   := '-'? decimal digits
+# Whitespace between tokens is insignificant; '#' is not a comment here
+# (files strip comments per line).
 
 
 class _Cursor:
@@ -247,199 +249,131 @@ class _Cursor:
         self.text = text
         self.i = 0
 
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
     def peek(self):
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
+        """The next character after any whitespace, or "" at the end."""
+        self.take_while(str.isspace)
+        return self.text[self.i:self.i + 1]
 
     def take(self):
         c = self.peek()
         self.i += 1
         return c
 
+    def take_while(self, accept):
+        """Advance past the characters accept takes; the text passed over."""
+        start = self.i
+        while self.i < len(self.text) and accept(self.text[self.i]):
+            self.i += 1
+        return self.text[start:self.i]
+
     def error(self, msg):
         raise PolyParseError(msg, self.i)
 
 
-def _parse_int(cur, allow_sign):
-    cur.skip_ws()
-    start = cur.i
-    if allow_sign and cur.peek() == "-":
+def _power(cur, signed):
+    """The exponent after a '^', or 1 when no '^' follows: decimal digits,
+    after a '-' when signed, at most MAX_EXPONENT in size."""
+    if cur.peek() != "^":
+        return 1
+    cur.take()
+    negative = signed and cur.peek() == "-"
+    if negative:
         cur.take()
-    cur.skip_ws()
-    digits = ""
-    while cur.i < len(cur.text) and cur.text[cur.i].isdigit():
-        digits += cur.text[cur.i]
-        cur.i += 1
-    if not digits:
+    if not cur.peek().isdecimal():
         cur.error("expected an integer")
-    value = int(cur.text[start:cur.i].replace(" ", ""))
-    if abs(value) > MAX_EXPONENT:
+    digits = cur.take_while(str.isdecimal)
+    try:
+        value = int(digits)
+    except ValueError:          # longer than int()'s digit limit
+        value = MAX_EXPONENT + 1
+    if value > MAX_EXPONENT:
         cur.error("exponent overflow")
-    return value
+    return -value if negative else value
 
 
 def _parse_coeff(cur, ctx):
-    cur.skip_ws()
+    """A coefficient, or None when none starts here: g, g^k, or an element
+    literal for ctx.parse_element, which is decimal digits, or 0x/0b and the
+    alphanumerics after it."""
     c = cur.peek()
     if c == "g":
         cur.take()
-        if cur.peek() == "^":
-            cur.take()
-            return ctx.gen_pow(_parse_int(cur, allow_sign=True))
-        return ctx.generator
-    if c.isdigit():
-        start = cur.i
-        text = cur.text
-        if text[cur.i] == "0" and cur.i + 1 < len(text) and text[cur.i + 1] in "xXbB":
-            cur.i += 2
-            while cur.i < len(text) and (text[cur.i].isalnum()):
-                cur.i += 1
-        else:
-            while cur.i < len(text) and text[cur.i].isdigit():
-                cur.i += 1
-        literal = text[start:cur.i]
-        if literal == "0":
-            return 0
-        if literal == "1":
-            return 1
-        if literal.lower().startswith(("0x", "0b")):
-            try:
-                return ctx.parse_element(literal)
-            except ValueError as exc:
-                cur.i = start
-                cur.error(str(exc))
-        cur.i = start
-        cur.error(f"bad coefficient {literal!r}: elements are 0, 1, g^k, 0x.., 0b..")
-    return None
+        return ctx.gen_pow(_power(cur, signed=True)) if cur.peek() == "^" else ctx.generator
+    if not c.isdecimal():
+        return None
+    start = cur.i
+    if cur.text.startswith(("0x", "0X", "0b", "0B"), start):
+        cur.i += 2
+        cur.take_while(str.isalnum)
+    else:
+        cur.take_while(str.isdecimal)
+    try:
+        return ctx.parse_element(cur.text[start:cur.i])
+    except ValueError as exc:
+        raise PolyParseError(str(exc), start) from None
 
 
-def _parse_inner(cur, ctx):
-    """Monomial sum inside parentheses; nesting is not supported."""
-    pairs = []
-    sign = 1
-    while True:
-        coeff = _parse_coeff(cur, ctx)
-        exp = 0
-        if cur.peek() == "*":
-            cur.take()
-        if cur.peek() == "x":
-            cur.take()
-            exp = 1
-            if cur.peek() == "^":
-                cur.take()
-                exp = _parse_int(cur, allow_sign=False)
-            if coeff is None:
-                coeff = 1
-        elif coeff is None:
-            if cur.peek() == "(":
-                cur.error("nested composite bases are not supported")
-            cur.error("expected a monomial")
-        if sign < 0:
-            coeff = ctx.neg(coeff)
-        pairs.append((exp, coeff))
-        nxt = cur.peek()
-        if nxt == "+":
-            cur.take()
-            sign = 1
-        elif nxt == "-":
-            cur.take()
-            sign = -1
-        else:
-            return SparsePoly.make(ctx, pairs)
-
-
-def _parse_term(cur, ctx):
+def _parse_term(cur, ctx, inner):
+    """(c, base, e) for one term; a bare constant c is (c, x, 0).  A term of
+    a base (inner) is a monomial on x with e >= 0, or a constant."""
     coeff = _parse_coeff(cur, ctx)
     if cur.peek() == "*":
         cur.take()
     nxt = cur.peek()
     if nxt == "x":
         cur.take()
-        exp = 1
-        if cur.peek() == "^":
-            cur.take()
-            exp = _parse_int(cur, allow_sign=True)
         base = SparsePoly(X_TERMS)
-    elif nxt == "(":
+    elif nxt == "(" and not inner:
         cur.take()
-        base = _parse_inner(cur, ctx)
+        base = SparsePoly.make(ctx, ((e, c) for c, _, e in _parse_sum(cur, ctx, inner=True)))
         if cur.peek() != ")":
             cur.error("expected ')'")
         cur.take()
-        exp = 1
-        if cur.peek() == "^":
-            cur.take()
-            exp = _parse_int(cur, allow_sign=True)
     elif coeff is not None:
-        # bare constant: c * x^0
-        return (coeff, SparsePoly(X_TERMS), 0)
+        return coeff, SparsePoly(X_TERMS), 0
     else:
-        cur.error("expected a term")
-    return (1 if coeff is None else coeff, base, exp)
+        cur.error("nested composite bases are not supported" if nxt == "("
+                  else "expected a term")
+    return 1 if coeff is None else coeff, base, _power(cur, signed=not inner)
+
+
+def _parse_sum(cur, ctx, inner):
+    """The terms of a signed sum, each (c, base, e) with its sign applied."""
+    terms, negate = [], False
+    while True:
+        c, base, e = _parse_term(cur, ctx, inner)
+        terms.append((ctx.neg(c) if negate else c, base, e))
+        if cur.peek() not in ("+", "-"):
+            return terms
+        negate = cur.take() == "-"
 
 
 def parse_poly(ctx, text):
     """Parse polynomial text into a CompositePoly."""
     cur = _Cursor(text)
-    if cur.peek() == "":
-        cur.error("empty polynomial")
-    terms = []
-    sign = 1
-    while True:
-        c, base, e = _parse_term(cur, ctx)
-        if sign < 0:
-            c = ctx.neg(c)
-        if c != 0:
-            terms.append((c, base, e))
-        nxt = cur.peek()
-        if nxt == "+":
-            cur.take()
-            sign = 1
-        elif nxt == "-":
-            cur.take()
-            sign = -1
-        elif nxt == "":
-            return CompositePoly(tuple(terms))
-        else:
-            cur.error(f"unexpected {nxt!r}")
+    terms = _parse_sum(cur, ctx, inner=False)
+    if cur.peek():
+        cur.error(f"unexpected {cur.peek()!r}")
+    return CompositePoly.make(terms)
 
 
-def _sparse_text(ctx, sp):
-    if not sp.terms:
-        return "0"
-    parts = []
-    for e, c in reversed(sp.terms):
-        if e == 0:
-            parts.append(ctx.format_element(c))
-        else:
-            xs = "x" if e == 1 else f"x^{e}"
-            parts.append(xs if c == 1 else f"{ctx.format_element(c)}*{xs}")
-    return " + ".join(parts)
+def _term_text(ctx, c, body, e):
+    """Text of the term c * body^e, body "x" or a bracketed base; c * x^0
+    is the bare constant c."""
+    if e == 0 and body == "x":
+        return ctx.format_element(c)
+    if e != 1:
+        body = f"{body}^{e}"
+    return body if c == 1 else f"{ctx.format_element(c)}*{body}"
 
 
 def to_text(ctx, f):
     """Canonical text form; parse_poly(ctx, to_text(ctx, f)) == f."""
     if isinstance(f, SparsePoly):
-        return _sparse_text(ctx, f)
-    if not f.terms:
-        return "0"
-    parts = []
-    for c, base, e in f.terms:
-        if base.is_x():
-            body = "x"
-        else:
-            body = f"({_sparse_text(ctx, base)})"
-        if e == 0:
-            parts.append(ctx.format_element(c))
-            continue
-        if e != 1:
-            body = f"{body}^{e}"
-        parts.append(body if c == 1 else f"{ctx.format_element(c)}*{body}")
-    return " + ".join(parts)
+        return " + ".join(_term_text(ctx, c, "x", e) for e, c in reversed(f.terms)) or "0"
+    return " + ".join(
+        _term_text(ctx, c, "x" if base.is_x() else f"({to_text(ctx, base)})", e)
+        for c, base, e in f.terms) or "0"
 
 
 def load_poly_file(ctx, path):

@@ -71,6 +71,17 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field_arg, text", [
+    ("2^4", "x^"), ("2^4", "(x"), ("2^4", "((x))"), ("2^4", "x + *"), ("2^2", "0x7*x"),
+    ("2^4", "x^2\u00b2"), ("2^4", "y")])
+def test_malformed_poly_exits_2(capsys, field_arg, text):
+    code, out, err = run(capsys, "check-pp", "--field", field_arg, "--poly", text)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "(at position" in lines[0] and "Traceback" not in err
+
+
 def test_lemma1_cli(capsys):
     code, out, _ = run(capsys, "lemma1", "--field", "5^4", "--r", "151",
                        "--d", "156", "--h", "x + g^1")
