@@ -7,7 +7,11 @@ vector.  A FieldCtx owns the modulus, a generator, and discrete-log
 tables, which are read-only numpy arrays; every field has them, since
 check_order refuses any q above TABLE_BOUND before work starts.  Every
 code and log fits in int32 below that bound, so the tables are int32, and
-so is every value array the vector kernels return.  The odd-p add, the
+so is every value array the vector kernels return, whatever the integer
+dtype of their operands.  In odd characteristic add_vec reads no log: it
+adds the packed codes a group of base-p digits at a time, through a small
+read-only uint16 table of digit-group sums (ADD_TABLE_BOUND entries at
+most), or by a wrap where a group is one digit.  The odd-p add, the
 canonical-order monomial gather and the table build walk their arrays in
 KERNEL_BLOCK slices, so their temporaries stay the size of a slice.  All
 operations are pure and the context is immutable after construction, apart
@@ -23,12 +27,25 @@ TABLE_WALK = 64             # generator powers the table build takes by scalar m
 TABLE_BLOCK = 1 << 12       # generator powers per block step of the table build
 PROGRESSION_HEAD = 1 << 10  # progression entries monomial_vec computes by %
 KERNEL_BLOCK = 1 << 16      # entries per slice of the blocked kernels and the table build
+ADD_TABLE_BOUND = 1 << 20   # entries of the odd-p add's digit-group sum table
+MAX_EXPONENT = 1 << 62      # largest exponent that element and polynomial text accept
 
 
 def bound_text(bound):
     """A size bound as messages print it: 2^k for a power of two."""
     k = bound.bit_length() - 1
     return f"2^{k}" if bound == 1 << k else str(bound)
+
+
+def read_exponent(digits):
+    """The int a run of decimal digits spells, or None above MAX_EXPONENT;
+    a run past int()'s digit limit is above it too.  Element text (g^k) and
+    polynomial text (x^e, (...)^e, g^k) read exponents only through it."""
+    try:
+        value = int(digits)
+    except ValueError:
+        return None
+    return value if value <= MAX_EXPONENT else None
 
 
 def check_order(p, n):
@@ -276,7 +293,8 @@ class FieldCtx:
         self._P = None                              # points 0, g^0, g^1, ...: int32, or None
         self._E = None                              # E[i] = code of g^i: the view P[1:]
         self._L = None                              # L[code] = i, int32, L[0] = 0
-        self._Z = None                              # odd p: Z[i] = log(1 + g^i)
+        self._group = self._groups = None           # odd p: add_vec's group base p^g, count
+        self._T = None                              # odd p, g >= 2: T[u*p^g + v] = u + v digitwise
         # memoryview(E) and memoryview(L) once the tables are built, so that
         # scalar reads give int; until then, reads raise
         self._exp = self._log = _NoTables(f"{self!r} was built without log tables")
@@ -292,8 +310,9 @@ class FieldCtx:
         return self._E is not None
 
     def _build_tables(self):
-        """exp/log tables (and the Zech table for odd p) from the generator,
-        all read-only; the exp table is a view into the canonical points."""
+        """exp/log tables from the generator, and for odd p add_vec's digit
+        groups, all read-only; the exp table is a view into the canonical
+        points."""
         p, qm1 = self.p, self._qm1
         P = np.empty(self.q, dtype=np.int32)
         P[0] = 0
@@ -305,14 +324,9 @@ class FieldCtx:
                 or np.count_nonzero(L < 0) != 1):
             raise ValueError("generator does not have full multiplicative order")
         if p != 2:
-            # 1 + c only changes the constant digit of c, wrapping p-1 to 0;
-            # Z[(q-1)/2] = -1 because 1 + g^((q-1)/2) = 1 + (-1) = 0
-            self._Z = np.empty(qm1, dtype=np.int32)
-            for lo, hi in _slices(qm1):
-                c = E[lo:hi]
-                L.take(c + np.where(c % p == p - 1, 1 - p, 1), out=self._Z[lo:hi])
+            self._group, self._groups, self._T = _digit_groups(p, self.n)
         L[0] = 0        # zero operands read log 0; every op masks or guards them
-        for table in (P, L, self._Z):
+        for table in (P, L, self._T):
             if table is not None:
                 table.flags.writeable = False
         self._P, self._E, self._L = P, P[1:], L
@@ -440,42 +454,55 @@ class FieldCtx:
         return self._E, self._L
 
     def add_vec(self, A, B):
-        """A + B elementwise on 1-d arrays, as a new array; either operand may
-        be one code.  For p = 2 the XOR keeps its operands' dtype, so the
-        result is int32 because every caller passes int32 arrays.  For odd p
-        the result is int32, and the Zech add runs one KERNEL_BLOCK slice at
-        a time, so its temporaries stay the size of a slice."""
+        """A + B elementwise on 1-d integer arrays of codes, as a new int32
+        array; either operand may be one code.  For p = 2 it is one XOR.
+        For odd p the digit-group add runs one KERNEL_BLOCK slice at a time,
+        so its temporaries stay the size of a slice, and a scalar operand
+        stays a scalar."""
         if self.p == 2:
-            return np.bitwise_xor(A, B)
+            return np.bitwise_xor(A, B, dtype=np.int32)
         if np.ndim(A) == 0:
             A, B = B, A                 # the sum commutes, so A is the array
         self._tables()                  # raises for a field without tables
         out = np.empty(len(A), dtype=np.int32)
         for lo, hi in _slices(len(A)):
-            self._zech_add(A[lo:hi], B[lo:hi] if np.ndim(B) else B, out[lo:hi])
+            self._digit_add(_uint32(A[lo:hi]), _uint32(B[lo:hi]) if np.ndim(B) else int(B),
+                            out[lo:hi].view(np.uint32))
         return out
 
-    def _zech_add(self, A, B, out):
-        """One slice of the odd-p add_vec, written into out: a + b =
-        a * (1 + b/a) = g^(log a + Z[log b - log a]); zero operands read
-        log 0, and their results are overwritten last."""
-        L, m = self._L, self._qm1
-        la = L.take(A)
-        d = m - la
-        d += L.take(B)
-        _wrap(d, m)
-        opposite = d == m // 2          # b = -a, where Z holds -1
-        s = self._Z.take(d)
-        s += la
-        np.copyto(s, 0, where=opposite)  # there s = log a - 1, which is -1 at a = 1
-        self._E.take(_wrap(s, m), out=out)
-        np.copyto(out, 0, where=opposite)
-        np.copyto(out, B, where=A == 0)
-        np.copyto(out, A, where=B == 0)
+    def _digit_add(self, A, B, out):
+        """One slice of the odd-p add_vec, written into out; A and out are
+        uint32, B too or an int.  With W = p^g the group base, the j-th
+        groups of a and b come from c_j = (a // W^j) * s + b // W^j, where
+        s = W with a table and 1 without: r_j = c_j - W * c_(j+1) is the
+        table index u * W + v, or the digit sum u + v < 2p, which one wrap
+        reduces.  The groups run from the top, and out becomes out * W plus
+        their sum.  c_0 may pass 2^32 and wrap, but r_0 < W^2 stays exact."""
+        W, T = self._group, self._T
+
+        def pair(j):
+            a, b = (A // W ** j, B // W ** j) if j else (A, B)
+            if T is None:
+                return a + b
+            c = a * W
+            c += b
+            return c
+
+        def group_sum(r):
+            return np.minimum(r, r - W) if T is None else T.take(r)
+
+        upper = pair(self._groups - 1)
+        out[...] = group_sum(upper)
+        for j in range(self._groups - 2, -1, -1):
+            c = pair(j)
+            upper *= W
+            out *= W
+            out += group_sum(np.subtract(c, upper, out=upper))
+            upper = c
 
     def neg_vec(self, A):
         if self.p == 2:
-            return A.copy()
+            return A.astype(np.int32)   # a copy, as every kernel returns
         # -1 = g^((q-1)/2)
         return self._log_shift(A, self._qm1 // 2)
 
@@ -487,7 +514,7 @@ class FieldCtx:
 
     def scale_vec(self, c, A):
         if c == 0:
-            return np.zeros_like(A)
+            return np.zeros_like(A, dtype=np.int32)
         return self._log_shift(A, self._log[c])
 
     def _log_shift(self, A, k):
@@ -503,7 +530,7 @@ class FieldCtx:
     def pow_vec(self, A, e):
         E, L = self._tables()
         if e == 0:
-            return np.ones_like(A)
+            return np.ones_like(A, dtype=np.int32)
         # log x * e passes 2^31, so the product is formed in int64
         idx = np.multiply(L.take(A), e % self._qm1, dtype=np.int64)
         idx %= self._qm1
@@ -559,7 +586,10 @@ class FieldCtx:
         return f"g^{self._log[a]}"
 
     def parse_element(self, text):
-        """Element syntax: 0, 1, g^k, g, or a packed 0x/0b code."""
+        """Element syntax: 0, 1, g, g^k, or a packed 0x/0b code.  k is
+        decimal digits, after a '-' or not, at most MAX_EXPONENT; a code is
+        hex or binary digits.  Nothing else goes in: no sign, space or
+        underscore inside the element."""
         t = text.strip()
         if t == "0":
             return 0
@@ -568,17 +598,22 @@ class FieldCtx:
         if t == "g":
             return self.generator
         if t.startswith("g^"):
-            try:
-                k = int(t[2:])
-            except ValueError:
-                raise ValueError(f"bad generator power {text!r}") from None
-            return self.gen_pow(k)
-        if t.startswith(("0x", "0X", "0b", "0B")):
-            try:
-                code = int(t, 0)
-            except ValueError:
-                raise ValueError(f"bad packed element literal {text!r}") from None
-            if not 0 <= code < self.q:
+            negative = t.startswith("g^-")
+            digits = t[2 + negative:]
+            if not digits.isdecimal():
+                raise ValueError(f"bad generator power {text!r}")
+            k = read_exponent(digits)
+            if k is None:
+                raise ValueError(f"generator power {text!r} exceeds "
+                                 f"{bound_text(MAX_EXPONENT)}")
+            return self.gen_pow(-k if negative else k)
+        if t[:2] in ("0x", "0X", "0b", "0B"):
+            digits = t[2:]
+            base = 16 if t[1] in "xX" else 2
+            if not digits or not set(digits) <= _PACKED_DIGITS[base]:
+                raise ValueError(f"bad packed element literal {text!r}")
+            code = int(digits, base)
+            if code >= self.q:
                 raise ValueError(f"element code {text} is not in GF({self.p}^{self.n})")
             return code
         raise ValueError(f"cannot parse element {text!r}: "
@@ -591,10 +626,41 @@ class FieldCtx:
         return f"GF({self.p}^{self.n}, modulus={hex(self.modulus_code)})"
 
 
+_PACKED_DIGITS = {16: frozenset("0123456789abcdefABCDEF"), 2: frozenset("01")}
+
+
 def _slices(count):
     """(lo, hi) bounds of the KERNEL_BLOCK slices that cover range(count), in
     order; a count up to KERNEL_BLOCK is one slice."""
     return ((lo, min(lo + KERNEL_BLOCK, count)) for lo in range(0, count, KERNEL_BLOCK))
+
+
+def _uint32(x):
+    """An array of codes as uint32: a view of int32, a copy of other dtypes."""
+    return x.view(np.uint32) if x.dtype == np.int32 else x.astype(np.uint32)
+
+
+def _digit_groups(p, n):
+    """(W, k, T) for the odd-p add_vec: codes split into k groups of g
+    base-p digits, W = p^g.  k is the fewest groups whose table T has at
+    most ADD_TABLE_BOUND entries, and g the fewest digits that cover n in k
+    groups, so that T is no larger than it needs to be.  T[u * W + v] is
+    the digit-by-digit sum mod p of u, v < W, as uint16 (entries are below
+    W <= 2^10), built one digit at a time from the p x p table.  One-digit
+    groups (p > 32, and every prime field) add by a wrap and have no table."""
+    widest = 1
+    while p ** (2 * widest + 2) <= ADD_TABLE_BOUND:
+        widest += 1
+    k = -(-n // widest)
+    g = -(-n // k)
+    if g == 1:
+        return p, n, None
+    one = np.add.outer(np.arange(p, dtype=np.uint16), np.arange(p, dtype=np.uint16)) % p
+    T, w = one, p
+    for _ in range(g - 1):      # the next digit goes on top: (u_top, u_low) x (v_top, v_low)
+        T = (one[:, None, :, None] * w + T[None, :, None, :]).reshape(p * w, p * w)
+        w *= p
+    return w, k, T.ravel()
 
 
 def _wrap(x, m):

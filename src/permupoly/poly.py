@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_EXPONENT = 1 << 62
+from .field import MAX_EXPONENT, read_exponent
+
 REDUCE_FIELD_BOUND = 1 << 12
 # Bytes of composite powers T^e that evaluate_all keeps per field: 2^17
 # int32 codes, or 512 entries at q = 2^8.  That holds all 256 bases of a
@@ -281,12 +282,8 @@ def _power(cur, signed):
         cur.take()
     if not cur.peek().isdecimal():
         cur.error("expected an integer")
-    digits = cur.take_while(str.isdecimal)
-    try:
-        value = int(digits)
-    except ValueError:          # longer than int()'s digit limit
-        value = MAX_EXPONENT + 1
-    if value > MAX_EXPONENT:
+    value = read_exponent(cur.take_while(str.isdecimal))
+    if value is None:
         cur.error("exponent overflow")
     return -value if negative else value
 

@@ -106,6 +106,14 @@ def test_family_cli(capsys):
     assert "[FAIL]" in out
 
 
+@pytest.mark.parametrize("b", ["0x_1", "g^1_0", "g^+3", "g^ 3", "g^99999999999999999999999"])
+def test_family_cli_malformed_element_exits_2(capsys, b):
+    code, out, err = run(capsys, "family", "--family", "P6", "--k", "3",
+                         "--b", b, "--delta", "g^3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and repr(b) in err and "Traceback" not in err
+
+
 def test_family_cli_missing_param(capsys):
     code, _, err = run(capsys, "family", "--family", "P1", "--m", "2",
                        "--b", "g^1", "--delta", "0")

@@ -493,7 +493,7 @@ def test_vector_kernel_results_are_fresh(p, n):
         results[f"scale_vec {k}"] = ctx.scale_vec(k, A)
     for e in (1, 2, ctx.q - 1):
         results[f"monomial_vec {e}"] = ctx.monomial_vec(c, e)
-    shared = [x for x in (A, ctx._P, ctx._L, ctx._Z) if x is not None]
+    shared = [x for x in (A, ctx._P, ctx._L, ctx._T) if x is not None]
     for name, out in results.items():
         assert out.dtype == np.int32 and out.flags.writeable, name
         assert not any(np.shares_memory(out, x) for x in shared), name
@@ -522,7 +522,8 @@ def slice_starts(ctx):
 
 def zech_add_reference(ctx, A, B):
     """Whole-array a + b = g^(log a + log(1 + b/a)), with 1 + c formed from
-    c's constant digit, so it reads neither ctx._Z nor the slices."""
+    c's constant digit: through the log tables, so it shares no step with
+    the digit-group add, and it reads no slices."""
     p, m = ctx.p, ctx.q - 1
     E, L = ctx._E.astype(np.int64), ctx._L.astype(np.int64)
     A, B = np.broadcast_arrays(np.asarray(A, dtype=np.int64),
@@ -533,16 +534,29 @@ def zech_add_reference(ctx, A, B):
     return np.where(A == 0, B, np.where(B == 0, A, out))
 
 
+def digit_group_table(p, W):
+    """T[u * W + v] for u, v < W = p^g: the digit-by-digit sum mod p of u
+    and v, by a loop over the digits of the flat index, not the broadcast
+    build."""
+    idx = np.arange(W * W, dtype=np.int64)
+    u, v = idx // W, idx % W
+    out, w = np.zeros_like(idx), 1
+    while w < W:
+        out += (u // w % p + v // w % p) % p * w
+        w *= p
+    return out
+
+
 def test_tables_across_slices(sliced_field):
     ctx = sliced_field
     qm1 = ctx.q - 1
     E = ctx._E.astype(np.int64)
     assert ctx._L[ctx._E].tolist() == list(range(qm1))
+    assert ctx._P[1:].tolist() == E.tolist() and ctx._P[0] == 0
     if ctx.p != 2:
-        p = ctx.p
-        want = ctx._L[E + np.where(E % p == p - 1, 1 - p, 1)]
-        want[qm1 // 2] = -1         # 1 + (-1) = 0, read before L[0] is set to 0
-        assert ctx._Z.tolist() == want.tolist()
+        # the odd-p add reads the digit-group table: two groups at 5^7 and 3^11
+        assert ctx._groups == 2
+        assert ctx._T.tolist() == digit_group_table(ctx.p, ctx._group).tolist()
 
 
 def test_add_vec_across_slice_boundaries(sliced_field):
@@ -590,6 +604,99 @@ def test_monomial_vec_across_slice_boundaries(sliced_field):
             want[1:] = ctx._E[(ctx.log(c) + np.arange(qm1) * e) % qm1]
             got = ctx.monomial_vec(c, e)
             assert got.dtype == np.int32 and np.array_equal(got, want), (e, c)
+
+
+# (ADD_TABLE_BOUND or None for the default, p, n, group base, groups):
+# several table groups with a short last one (2 + 2 + 1 and 2 + 1 digits),
+# two full ones, one-digit groups without a table, a prime field, and one
+# table group that holds the whole code
+ADD_LAYOUTS = [(81, 3, 5, 9, 3), (625, 5, 3, 25, 2), (81, 3, 4, 9, 2),
+               (48, 7, 3, 7, 3), (None, 11, 1, 11, 1), (None, 3, 4, 81, 1)]
+
+
+@pytest.mark.parametrize("bound,p,n,W,k", ADD_LAYOUTS,
+                         ids=lambda v: str(v) if v is not None else "default")
+def test_add_vec_exhaustive_across_group_layouts(monkeypatch, bound, p, n, W, k):
+    """add_vec against the scalar digit loop ctx.add on every pair of codes,
+    for each shape the digit groups take; a small ADD_TABLE_BOUND gives
+    small fields the group layouts of large ones."""
+    if bound is not None:
+        monkeypatch.setattr(field, "ADD_TABLE_BOUND", bound)
+    ctx = build_field(p, n)
+    assert (ctx._group, ctx._groups) == (W, k)
+    assert (ctx._T is None) == (W == p)
+    if ctx._T is not None:
+        assert ctx._T.tolist() == digit_group_table(p, W).tolist()
+    codes = np.arange(ctx.q, dtype=np.int32)
+    A, B = np.repeat(codes, ctx.q), np.tile(codes, ctx.q)
+    got = ctx.add_vec(A, B)
+    assert got.dtype == np.int32
+    assert got.tolist() == [ctx.add(a, b) for a, b in zip(A.tolist(), B.tolist())]
+
+
+# fields whose add has a short last table group (3^7: 4 + 3 digits, 5^5:
+# 3 + 2), one-digit groups without a table (37^2), a prime field past 2^20,
+# and 5^10, where a * W + b for the lowest group passes 2^32
+@pytest.fixture(scope="module", params=[(3, 7, 81, 2), (5, 5, 125, 2), (37, 2, 37, 2),
+                                        (1048583, 1, 1048583, 1), (5, 10, 625, 3)],
+                ids=lambda v: f"{v[0]}^{v[1]}")
+def add_layout_field(request):
+    p, n, W, k = request.param
+    ctx = build_field(p, n)
+    assert (ctx._group, ctx._groups) == (W, k)
+    return ctx
+
+
+def test_add_vec_matches_scalar_add(add_layout_field):
+    """add_vec against scalar ctx.add on seeded pairs across two slice
+    boundaries: random codes, codes whose digits are all high (every group
+    sum wraps), zeros, b = -a and a = b; then each scalar on either side."""
+    ctx, rng = add_layout_field, random.Random(f"digit-add:{add_layout_field.q}")
+    q, size = ctx.q, 2 * field.KERNEL_BLOCK + 300
+    A = np.array([rng.randrange(q) for _ in range(size)], dtype=np.int32)
+    B = np.array([rng.randrange(q) for _ in range(size)], dtype=np.int32)
+    high = [q - 1 - rng.randrange(min(q, 64)) for _ in range(600)]
+    A[:600], B[300:900] = high, high
+    B[900:1000] = A[1000:1100] = 0
+    for lo in (field.KERNEL_BLOCK, 2 * field.KERNEL_BLOCK):
+        B[lo - 50:lo + 50] = [ctx.neg(int(a)) for a in A[lo - 50:lo + 50]]
+        B[lo + 50:lo + 100] = A[lo + 50:lo + 100]
+        A[lo - 100:lo - 50] = high[:50]
+    got = ctx.add_vec(A, B)
+    assert got.dtype == np.int32
+    places = sorted(set(range(1200)) | set(rng.sample(range(size), 2000))
+                    | {i for lo in (field.KERNEL_BLOCK, 2 * field.KERNEL_BLOCK)
+                       for i in range(lo - 100, lo + 100)})
+    assert [int(got[i]) for i in places] == [ctx.add(int(A[i]), int(B[i])) for i in places]
+    assert not got[field.KERNEL_BLOCK - 50:field.KERNEL_BLOCK + 50].any()
+    sample = A[field.KERNEL_BLOCK - 200:field.KERNEL_BLOCK + 200]
+    for k in (0, 1, q - 1, ctx.neg(1), ctx.gen_pow(7), high[0]):
+        want = [ctx.add(int(a), k) for a in sample]
+        assert ctx.add_vec(sample, k).tolist() == want, k
+        assert ctx.add_vec(k, sample).tolist() == want, k
+        assert ctx.add_vec(A, k)[field.KERNEL_BLOCK - 200:field.KERNEL_BLOCK + 200].tolist() \
+            == want, k
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (2, 17), (5, 4), (3, 7), (37, 2)])
+def test_kernels_return_int32_for_any_integer_operands(p, n):
+    """Each kernel gives the same int32 array for int64, uint16 and int32
+    operands, at either characteristic."""
+    ctx = build_field(p, n)
+    A32, B32, c = ctx.monomial_vec(1, 3), ctx._P.copy(), ctx.gen_pow(2)
+
+    def kernels(A, B):
+        return {"add_vec": ctx.add_vec(A, B), "add_vec scalar": ctx.add_vec(A, c),
+                "add_vec scalar first": ctx.add_vec(c, B), "neg_vec": ctx.neg_vec(A),
+                "mul_vec": ctx.mul_vec(A, B), "pow_vec": ctx.pow_vec(A, 3),
+                "pow_vec 0": ctx.pow_vec(A, 0), "scale_vec": ctx.scale_vec(c, A),
+                "scale_vec 0": ctx.scale_vec(0, A)}
+    want = kernels(A32, B32)
+    dtypes = (np.int64, np.uint16) if ctx.q <= 1 << 16 else (np.int64,)
+    for dtype in dtypes:
+        for name, got in kernels(A32.astype(dtype), B32.astype(dtype)).items():
+            assert got.dtype == np.int32, (name, dtype)
+            assert np.array_equal(got, want[name]), (name, dtype)
 
 
 def test_table_bound_boundary(monkeypatch):
@@ -641,8 +748,10 @@ def wide_product_field(request):
 
 def test_tables_are_read_only_int32(wide_product_field):
     ctx = wide_product_field
-    tables = (ctx._P, ctx._E, ctx._L) + ((ctx._Z,) if ctx.p != 2 else ())
+    tables = (ctx._P, ctx._E, ctx._L)
     assert all(t.dtype == np.int32 and not t.flags.writeable for t in tables)
+    if ctx.p != 2:      # digit-group sums are below p^g <= 2^10
+        assert ctx._T.dtype == np.uint16 and not ctx._T.flags.writeable
     a = ctx.gen_pow(ctx.q - 2)
     assert type(a) is int and type(ctx.log(a)) is int and ctx.log(a) == ctx.q - 2
     assert ctx.format_element(a) == f"g^{ctx.q - 2}"
@@ -726,6 +835,43 @@ def test_element_text(gf64, gf625):
         gf64.parse_element("7")
     with pytest.raises(ValueError):
         gf64.parse_element("g^")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0x_1", "bad packed element literal"), ("0b1_0", "bad packed element literal"),
+    ("0x", "bad packed element literal"), ("0x-1", "bad packed element literal"),
+    ("0x 1", "bad packed element literal"), ("0b2", "bad packed element literal"),
+    ("g^1_0", "bad generator power"), ("g^+3", "bad generator power"),
+    ("g^ 3", "bad generator power"), ("g^-", "bad generator power"),
+    ("g^--3", "bad generator power"), ("g^3 ", None), ("g^²", "bad generator power"),
+    ("g^99999999999999999999999", "exceeds 2\\^62"),
+    ("g^-99999999999999999999999", "exceeds 2\\^62"),
+    ("g^" + "9" * 5000, "exceeds 2\\^62"),
+])
+def test_element_text_reads_exponents_as_polynomial_text_does(gf64, text, message):
+    """parse_element takes the digits poly._power takes, with the same
+    bound: no sign but a leading '-', no space or underscore, at most
+    MAX_EXPONENT; packed codes are hex or binary digits only.  Surrounding
+    space is stripped."""
+    if message is None:
+        assert gf64.parse_element(text) == gf64.gen_pow(3)
+        return
+    with pytest.raises(ValueError, match=message):
+        gf64.parse_element(text)
+
+
+def test_element_exponent_bound_is_the_polynomial_bound(gf64):
+    from permupoly import poly
+    assert poly.MAX_EXPONENT is field.MAX_EXPONENT == 1 << 62
+    top = field.MAX_EXPONENT
+    assert gf64.parse_element(f"g^{top}") == gf64.gen_pow(top)
+    assert gf64.parse_element(f"g^-{top}") == gf64.gen_pow(-top)
+    assert poly.parse_poly(gf64, f"g^{top}*x") == poly.parse_poly(gf64, f"g^{top % 63}*x")
+    for text in (f"g^{top + 1}", f"g^-{top + 1}"):
+        with pytest.raises(ValueError, match="exceeds"):
+            gf64.parse_element(text)
+        with pytest.raises(poly.PolyParseError, match="exponent overflow"):
+            poly.parse_poly(gf64, f"{text}*x")
 
 
 def test_field_descriptor():

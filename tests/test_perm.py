@@ -12,7 +12,7 @@ from permupoly import (SparsePoly, build_field, evaluate, evaluate_all,
                        parse_poly)
 from permupoly import field, perm
 from permupoly.cli import main
-from permupoly.families import check_enumeration_guard
+from permupoly.families import check_enumeration_guard, field_for_family, iter_family
 
 
 def test_identity_is_permutation(gf64):
@@ -94,6 +94,23 @@ def test_lemma1_prop4_instances(gf625):
             assert brute.witness is not None
     with pytest.raises(ValueError):
         lemma1_check(gf625, 151, 100, SparsePoly.make(gf625, [(0, 1)]))
+
+
+@pytest.mark.parametrize("q,e", [(3, 4), (5, 3), (9, 2), (7, 2)])
+def test_coset_criterion_matches_image_scan_on_every_p4_tuple(q, e):
+    """P4's x^r (x^(q-1) + a) over GF(q^e) is x^r h(x^((Q-1)/d)) with
+    h = x + a and d = (Q-1)/(q-1): lemma1_check's scalar verdict on the
+    d-th roots of unity against is_permutation's image scan, whose value
+    array the odd-p add_vec forms, on every (r, a) tuple."""
+    ctx = field_for_family("P4", {"q": q, "e": e})
+    d = (ctx.q - 1) // (q - 1)
+    verdicts = set()
+    for params, poly, _ in iter_family("P4", {"q": q, "e": e}, ctx=ctx):
+        h = SparsePoly.make(ctx, [(1, 1), (0, params.a)])
+        rep = lemma1_check(ctx, params.r, d, h)
+        assert rep.ok == is_permutation(ctx, poly).permutation, (params.r, params.a)
+        verdicts.add(rep.ok)
+    assert verdicts == {True, False}
 
 
 def test_lemma1_vanishing_h_on_circle(gf16):
@@ -186,7 +203,7 @@ def test_witness_search_chunk_boundaries(monkeypatch, p, n, chunk):
 
 def digit_add(ctx, A, B):
     """A + B on codes, digit by digit in base p: shares no code with the
-    Zech add."""
+    digit-group add."""
     p, w = ctx.p, 1
     A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
     out = np.zeros(len(A), dtype=np.int64)

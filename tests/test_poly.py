@@ -88,7 +88,7 @@ def test_evaluate_all_matches_scalar(gf64, gf625):
 @pytest.mark.parametrize("p,n", [(2, 6), (5, 4)])
 def test_tables_read_only_and_values_fresh(p, n):
     ctx = build_field(p, n)
-    tables = [ctx._P, ctx._E, ctx._L] + ([ctx._Z] if p != 2 else [])
+    tables = [ctx._P, ctx._E, ctx._L] + ([ctx._T] if p != 2 else [])
     assert ctx._P[0] == 0 and np.shares_memory(ctx._E, ctx._P)
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
