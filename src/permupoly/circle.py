@@ -58,8 +58,8 @@ def sqrt_char2(ctx, v):
 
 
 def half_trace(ctx, c):
-    """For odd k, a solution y of y^2 + y = c when Tr(c) = 0:
-    y = sum of c^(2^(2i)) for i in [0, (k-1)/2]."""
+    """For odd k, a solution y of y^2 + y = c when Tr(c) = 0, the solver's
+    reference: y = sum of c^(2^(2i)) for i in [0, (k-1)/2]."""
     acc = 0
     for i in range((ctx.n - 1) // 2 + 1):
         acc = ctx.add(acc, ctx.frobenius(c, 2 * i))
@@ -78,10 +78,11 @@ def _eliminate(pivots, v):
 
 
 def _artin_schreier_solver(ctx):
-    """For even k: a GF(2)-linear particular-solution map for y^2 + y = c.
+    """A GF(2)-linear particular-solution map for y^2 + y = c, for every k.
 
     Gaussian elimination over the columns of y -> y^2 + y on the
-    polynomial basis; cached on the context.
+    polynomial basis; its kernel is {0, 1}, so the pivots span the
+    trace-zero hyperplane.  Cached on the context.
     """
     if ctx._as_solver is None:
         pivots = {}
@@ -98,8 +99,6 @@ def _solve_y2_plus_y(ctx, c):
     """A root of y^2 + y = c, or None when the trace obstruction holds."""
     if ctx.relative_trace(1, c) != 0:
         return None
-    if ctx.n % 2 == 1:
-        return half_trace(ctx, c)
     rest, y = _eliminate(_artin_schreier_solver(ctx), c)
     return None if rest else y
 

@@ -6,8 +6,10 @@ over its prescribed field, together with a checklist that evaluates every
 hypothesis clause separately.  Clauses marked gating define the
 "satisfying" side of parameter enumeration; a few clauses are reported
 only (see the detail strings), and P5/P6 designate one clause as the
-condition tested by necessity scans.  Tuples that agree on the parameters
-a term or clause depends on share it, through a per-field memo (see _part).
+condition tested by necessity scans.  A FamilyParams is validated when it
+is built; iter_family builds its first tuple that way and the rest from
+the same axes.  Tuples that agree on the parameters a term or clause
+depends on share it, through a per-field memo (see _part).
 """
 
 import functools
@@ -74,6 +76,9 @@ class FamilyParams:
     delta: int | None = None
     a: int | None = None
 
+    def __post_init__(self):
+        validate_params(self)
+
     def given(self, names):
         """{name: value} for the names in `names` that are set."""
         d = vars(self)
@@ -108,7 +113,8 @@ class Family:
 
     @functools.cached_property
     def roles(self):
-        """validate_params' walk: (name, required) over the names not optional."""
+        """The role check every FamilyParams runs when it is built (see
+        validate_params): (name, required) over the names not optional."""
         required = self.field + self.enumerated
         return tuple((name, name in required)
                      for name in INT_PARAMS + ELEMENT_PARAMS
@@ -159,17 +165,6 @@ def field_for_family(family, field_params, modulus=None):
     return build_field(p, n, modulus)
 
 
-_INT_VALUES = operator.itemgetter(*INT_PARAMS)
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _memo_field_shape(family, *ints):
-    """family_field_shape on the INT_PARAMS values ints (None where unset);
-    typed, so 2.0 or True never reuses the shape of 2 or 1."""
-    return family_field_shape(
-        family, {n: v for n, v in zip(INT_PARAMS, ints) if v is not None})
-
-
 def validate_params(params):
     d = vars(params)
     fam = d["family"]
@@ -178,10 +173,7 @@ def validate_params(params):
             raise ValueError(f"{fam} requires parameter {name}" if required
                              else f"{fam} does not take parameter {name}")
     ctx = d["ctx"]
-    try:
-        p, n = _memo_field_shape(fam, *_INT_VALUES(d))
-    except TypeError:       # an unhashable value, which family_field_shape rejects
-        p, n = family_field_shape(fam, params.given(INT_PARAMS))
+    p, n = family_field_shape(fam, params.given(INT_PARAMS))
     if (ctx.p, ctx.n) != (p, n):
         raise ValueError(f"{fam} with {params.given(INT_PARAMS)} lives in "
                          f"GF({p}^{n}), not {ctx!r}")
@@ -399,13 +391,11 @@ def make_family(params):
     """Build the family polynomial and its hypothesis checklist.
 
     Violating parameters still construct (the checklist records what
-    fails), so scans can probe both sides of every clause.  The parameters
-    are validated first, on every call; then each term and clause comes
-    from the field's memo (see _part).
+    fails), so scans can probe both sides of every clause.  params was
+    validated when it was built; each term and clause comes from the
+    field's memo (see _part).
     """
-    validate_params(params)
-    d = vars(params)
-    return FAMILIES[d["family"]].make(d["ctx"], d)
+    return FAMILIES[params.family].make(params.ctx, vars(params))
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +420,24 @@ def iter_family(family, field_params, ctx=None, modulus=None):
     outer_axis, inner_axis = fam.axes
     elems = ctx.elements_in_order()
     inner_values = inner_axis(field_params, elems)
-    # each tuple is FamilyParams(**row), built without the frozen __init__'s
-    # one setattr per field
-    row, new = dict(vars(FamilyParams(family, ctx, **field_params))), object.__new__
+    row = {"family": family, "ctx": ctx,
+           **dict.fromkeys(INT_PARAMS + ELEMENT_PARAMS), **field_params}
+    # Only the first tuple is built by the validating constructor: it fixes
+    # the names set and the field shape, and every later value comes from the
+    # axes or ctx.pow (P1's c), so it is in range by construction.  The rest
+    # skip the check and the frozen __init__'s one setattr per field.
+    new, params = object.__new__, None
     for u in outer_axis(field_params, elems):
         row[outer] = u
         if fam.derive:
             row.update(fam.derive(ctx, field_params, u))
         for v in inner_values:
             row[inner] = v
-            params = new(FamilyParams)
-            vars(params).update(row)
+            if params is None:
+                params = FamilyParams(**row)
+            else:
+                params = new(FamilyParams)
+                vars(params).update(row)
             poly, checklist = make_family(params)
             yield params, poly, checklist
 

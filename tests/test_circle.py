@@ -2,6 +2,7 @@ import pytest
 
 from permupoly import (build_field, decompose, half_trace, solve_quadratic,
                        sqrt_char2, unit_circle)
+from permupoly.circle import _solve_y2_plus_y
 
 
 def test_unit_circle_sizes(gf16, gf256):
@@ -119,3 +120,14 @@ def test_half_trace_odd_degree(gf8):
         if gf8.relative_trace(1, c) == 0:
             y = half_trace(gf8, c)
             assert gf8.add(gf8.mul(y, y), y) == c
+
+
+@pytest.mark.parametrize("k", [7, 9])
+def test_solver_matches_half_trace_odd_degree(k):
+    # the solver's particular root differs from the closed form by a root of
+    # y^2 + y = 0, that is by 0 or 1
+    ctx = build_field(2, k)
+    for c in range(ctx.q):
+        if ctx.relative_trace(1, c) == 0:
+            y = half_trace(ctx, c)
+            assert _solve_y2_plus_y(ctx, c) in (y, ctx.add(y, 1)), c

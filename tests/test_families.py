@@ -161,30 +161,29 @@ def test_param_validation(p1_ctx, gf64, gf16):
 
 
 def test_param_validation_messages(gf64, gf256):
-    def rejects(params, message):
+    def rejects(ctx, message, **kw):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            make_family(params)
+            params_for("P6", ctx, **kw)
 
     g64, g256 = repr(gf64), repr(gf256)
-    rejects(params_for("P6", gf256, k=4, b=1), "P6 requires parameter delta")
-    rejects(params_for("P6", gf256, k=4, b=1, delta=0, m=2),
-            "P6 does not take parameter m")
-    rejects(params_for("P6", gf256, k=4, b=256, delta=0),
-            f"element parameter b=256 is not in {g256}")
-    rejects(params_for("P6", gf256, k=4, b=1, delta=1.0),
-            f"element parameter delta=1.0 is not in {g256}")
-    # two shapes of one family back to back: the field shape is memoised
-    # per (family, integer parameters), and a stale shape would let these pass
+    rejects(gf256, "P6 requires parameter delta", k=4, b=1)
+    rejects(gf256, "P6 does not take parameter m", k=4, b=1, delta=0, m=2)
+    rejects(gf256, f"element parameter b=256 is not in {g256}", k=4, b=256, delta=0)
+    rejects(gf64, f"element parameter b=64 is not in {g64}", k=3, b=64, delta=0)
+    rejects(gf256, f"element parameter delta=1.0 is not in {g256}",
+            k=4, b=1, delta=1.0)
+    # two shapes of one family back to back: each tuple's field shape comes
+    # from its own integer parameters, and a stale shape would let these pass
     make_family(params_for("P6", gf64, k=3, b=1, delta=0))
-    rejects(params_for("P6", gf64, k=4, b=1, delta=0),
-            f"P6 with {{'k': 4}} lives in GF(2^8), not {g64}")
+    rejects(gf64, f"P6 with {{'k': 4}} lives in GF(2^8), not {g64}",
+            k=4, b=1, delta=0)
     make_family(params_for("P6", gf256, k=4, b=1, delta=0))
-    rejects(params_for("P6", gf256, k=3, b=1, delta=0),
-            f"P6 with {{'k': 3}} lives in GF(2^6), not {g256}")
-    # equal to a memoised 3, but not an int
+    rejects(gf256, f"P6 with {{'k': 3}} lives in GF(2^6), not {g256}",
+            k=3, b=1, delta=0)
+    # equal to 3, but not an int
     for k in (3.0, [3]):
-        rejects(params_for("P6", gf64, k=k, b=1, delta=0),
-                "P6 parameter k must be a positive integer")
+        rejects(gf64, "P6 parameter k must be a positive integer",
+                k=k, b=1, delta=0)
 
 
 # every entry point names an unknown family in the one text
@@ -279,9 +278,9 @@ def test_memo_is_per_field():
 
 
 def test_invalid_params_raise_the_same_with_a_warm_memo(gf16):
-    def message(params):
+    def message(ctx, **kw):
         with pytest.raises(ValueError) as info:
-            make_family(params)
+            params_for("P6", ctx, **kw)
         return str(info.value)
 
     warm = build_field(2, 6)
@@ -294,9 +293,9 @@ def test_invalid_params_raise_the_same_with_a_warm_memo(gf16):
         (dict(k=3, b=1), "P6 requires parameter delta"),
         (dict(k=3, b=1, delta=1, m=3), "P6 does not take parameter m"),
     ]:
-        assert message(params_for("P6", warm, **kwargs)) == text
-        assert message(params_for("P6", cold, **kwargs)) == text
-    assert message(params_for("P6", gf16, k=3, b=1, delta=1)) == (
+        assert message(warm, **kwargs) == text
+        assert message(cold, **kwargs) == text
+    assert message(gf16, k=3, b=1, delta=1) == (
         f"P6 with {{'k': 3}} lives in GF(2^6), not {gf16!r}")
 
 
@@ -336,12 +335,11 @@ def test_validation_matches_the_reference_walk(family):
         d = {n: values[n] if pattern >> i & 1 else None
              for i, n in enumerate(names)}
         want = reference_role_error(family, d)
-        params = params_for(family, ctx, **d)
         if want is None:
-            make_family(params)
+            make_family(params_for(family, ctx, **d))
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-                make_family(params)
+                params_for(family, ctx, **d)
 
 
 def test_bool_integer_parameter_reads_as_its_int(gf4):
@@ -433,15 +431,39 @@ def test_enumeration_guard_fails_fast_on_huge_fields(monkeypatch, family, field_
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("family, field_params", [
+SMALL_DOMAINS = [
     ("P1", {"m": 1, "k": 4}), ("P1", {"m": 2, "k": 3}), ("P2", {"m": 2, "s": 1}),
     ("P3", {"m": 3}), ("P4", {"q": 3, "e": 1}), ("P4", {"q": 4, "e": 2}),
     ("P4", {"q": 3, "e": 3}), ("P4", {"q": 2, "e": 5}), ("P5", {"m": 2}),
     ("P6", {"k": 1}), ("P6", {"k": 3}),
-])
+]
+
+
+@pytest.mark.parametrize("family, field_params", SMALL_DOMAINS)
 def test_enumeration_guard_counts_the_domain(family, field_params):
     assert check_enumeration_guard(family, field_params) == sum(
         1 for _ in iter_family(family, field_params))
+
+
+# iter_family validates only its first tuple; every tuple must still be one
+# that the validating constructor accepts and rebuilds equal
+@pytest.mark.parametrize("family, field_params", SMALL_DOMAINS)
+def test_every_enumerated_tuple_passes_validation(family, field_params):
+    for params, _, _ in iter_family(family, field_params):
+        assert FamilyParams(**vars(params)) == params
+
+
+@pytest.mark.parametrize("call", [iter_family, scan_sufficiency])
+def test_enumerator_checks_its_first_tuple(gf16, call):
+    def first(family, field_params):
+        result = call(family, field_params, ctx=gf16)
+        return next(result) if call is iter_family else result
+
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"P6 with {{'k': 3}} lives in GF(2^6), not {gf16!r}") + "$"):
+        first("P6", {"k": 3})
+    with pytest.raises(ValueError, match="^P6 does not take parameter m$"):
+        first("P6", {"k": 3, "m": 3})
 
 
 def test_iter_family_yields_checklists(gf625):

@@ -989,3 +989,15 @@ def test_mul_matches_sympy(p, n):
                                       list(reversed(_digits_of(b, p, n))), p, ZZ),
                             modulus, p, ZZ)
         assert ctx.mul(a, b) == _code_of(list(reversed(product)), p), (a, b)
+
+
+# sizes the brute-force minimality test cannot reach
+@pytest.mark.parametrize("p,n", [(2, 16), (2, 20), (2, 24), (3, 15), (5, 10),
+                                 (7, 7), (1021, 2)])
+def test_canonical_modulus_matches_sympy(p, n):
+    gt, ZZ = sympy_galoistools()
+    mod = canonical_modulus(p, n)
+    assert gt.gf_irreducible_p(list(reversed(mod)), p, ZZ)
+    for t in range(_code_of(mod, p) - p ** n):
+        f = _digits_of(t, p, n) + (1,)
+        assert not gt.gf_irreducible_p(list(reversed(f)), p, ZZ), f
