@@ -2,9 +2,13 @@
 
 The designated oracle at desk scale is the full image scan: evaluate f on
 every field element in canonical order (0 first, then ascending generator
-powers) and count the values in an occupancy array indexed by packed
-element code.  Position i of the values is the i-th element of that order,
-so the witness search reads them as they are, with no reordering gather.
+powers) and mark the values in a bool array indexed by packed element
+code; the marks counted are the image size.  Two measures back every
+verdict, and the cheap one decides: a full image is confirmed by an
+occupancy count (bincount), and any other count bounds the witness
+search, since among positions 0..image_size one value must repeat.
+Position i of the values is the i-th element of that order, so the
+witness search reads them as they are, with no reordering gather.
 Witnesses are the first repeat in canonical order and are re-checked
 before emission.
 """
@@ -53,31 +57,38 @@ def _dict_walk(xs, vs, seen):
     return None
 
 
-def _first_collision(ctx, values):
+def _first_collision(ctx, values, limit):
     """First x2 in canonical order whose value repeats an earlier x1, from
     f's values in that order: f(0) at position 0, f(g^i) at position i + 1.
+    Only positions below limit are searched; the caller passes its image
+    size plus one, since positions 0..image_size hold one value more than
+    the image has, so the first repeat lies at a position <= image_size.
+    None means no repeat below limit.
 
     The first WITNESS_CHUNK + 1 positions (0, then g^0, g^1, ...) go
     through a dict, which finds early witnesses at no set-up cost; it
     walks WITNESS_PREFIX positions after 0 first and converts the rest of
     them only when those hold no repeat, since most witnesses lie there.
-    Later positions are searched in numpy chunks that double in size:
-    first[v] holds the least position seen so far with value v, so after
-    np.minimum.at the first position of a chunk above first[its value] is
-    the least repeating position, and first[its value] is where that value
-    first occurred: the pair the dict walk would return.
+    Later positions are searched in numpy chunks that double in size, the
+    last one clipped at limit: first[v] holds the least position seen so
+    far with value v, so after np.minimum.at the first position of a chunk
+    above first[its value] is the least repeating position, and first[its
+    value] is where that value first occurred: the pair the dict walk
+    would return.
     """
-    seen, mid = {int(values[0]): 0}, min(WITNESS_PREFIX, WITNESS_CHUNK)
-    for lo, hi in ((0, mid), (mid, WITNESS_CHUNK)):
+    end = min(WITNESS_CHUNK, limit - 1)     # the dict walks positions 1..end
+    seen, mid = {int(values[0]): 0}, min(WITNESS_PREFIX, end)
+    for lo, hi in ((0, mid), (mid, end)):
         witness = _dict_walk(ctx._exp[lo:hi], values[lo + 1:hi + 1].tolist(), seen)
         if witness is not None:
             return witness
-    head = values[:WITNESS_CHUNK + 1]
+    lo, size = end + 1, WITNESS_CHUNK
+    if lo >= limit:
+        return None
     first = np.full(ctx.q, ctx.q, dtype=np.int32)  # positions are at most q <= 2^24
-    first[head] = np.arange(len(head))      # distinct: the walk found none
-    lo, size = len(head), WITNESS_CHUNK
-    while lo < ctx.q:
-        hi = min(lo + size, ctx.q)
+    first[values[:lo]] = np.arange(lo)      # distinct: the walk found none
+    while lo < limit:
+        hi = min(lo + size, limit)
         v = values[lo:hi]
         pos = np.arange(lo, hi, dtype=np.int32)
         np.minimum.at(first, v, pos)
@@ -91,18 +102,30 @@ def _first_collision(ctx, values):
 
 
 def _report(ctx, f, values):
-    """The verdict on f from its values, each side checked a second way: a
-    full image by a scatter independent of the count, a witness by scalar
-    re-evaluation."""
-    index = values.astype(np.intp)      # one cast serves the count and the scatter
-    image_size = int(np.count_nonzero(np.bincount(index, minlength=ctx.q)))
+    """The verdict on f from its values, each side checked a second way.
+
+    A bool scatter counts the image; it is freed before anything else
+    q-sized is allocated.  A full image is then confirmed by an occupancy
+    count (bincount), which only permutations pay for.  Otherwise the
+    index copy is dropped and the witness is searched for below the
+    pigeonhole bound of the count, then re-evaluated by the scalar
+    evaluator; a search that finds no repeat there means the count is
+    wrong.
+    """
+    index = values.astype(np.intp)      # one cast serves the scatter and the count
+    hit = np.zeros(ctx.q, dtype=bool)
+    hit[index] = True
+    image_size = int(np.count_nonzero(hit))
+    del hit
     if image_size == ctx.q:
-        hit = np.zeros(ctx.q, dtype=bool)
-        hit[index] = True
-        if not hit.all():
+        if np.count_nonzero(np.bincount(index, minlength=ctx.q)) != ctx.q:
             raise AssertionError("occupancy count and image scatter disagree")
         return PermReport(True, None, image_size)
-    x1, x2 = _first_collision(ctx, values)
+    del index
+    witness = _first_collision(ctx, values, image_size + 1)
+    if witness is None:
+        raise AssertionError("image count and witness search disagree")
+    x1, x2 = witness
     if evaluate(ctx, f, x1) != evaluate(ctx, f, x2) or x1 == x2:
         raise AssertionError("collision witness failed re-evaluation")
     return PermReport(False, (x1, x2), image_size)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from permupoly import (SparsePoly, build_field, evaluate, evaluate_all,
                        is_permutation, is_complete_permutation, lemma1_check,
                        lemma1_polynomial, monomial_pp_check, mu_d_roots,
-                       parse_poly)
+                       parse_poly, to_text)
 from permupoly import field, perm
 from permupoly.cli import main
 from permupoly.families import check_enumeration_guard, field_for_family, iter_family
@@ -140,6 +141,11 @@ def dict_walk_witness(ctx, values):
     return None
 
 
+def scalar_values(ctx, f):
+    """f at every element code, by the scalar evaluator."""
+    return [evaluate(ctx, f, x) for x in range(ctx.q)]
+
+
 @pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4)])
 def test_witness_matches_dict_walk(p, n):
     ctx = build_field(p, n)
@@ -183,6 +189,85 @@ def _random_non_pps(ctx, rng, count):
     return out
 
 
+SCALAR_FIELDS = [(2, 6), (2, 8), (3, 4), (5, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,n", SCALAR_FIELDS)
+def test_image_size_and_witness_bound_match_the_scalar_evaluator(p, n):
+    """The image size against the set of scalar values, the witness
+    against a dict walk over them, and the pigeonhole bound the witness
+    search relies on: the first repeat lies at a position of at most the
+    image size.  A monomial x^d with gcd(d, q - 1) = g > 1 meets it: it
+    first repeats f(1) at g^((q-1)/g), position (q-1)/g + 1, which is its
+    image size."""
+    ctx = build_field(p, n)
+    rng = random.Random(f"image:{p}^{n}")
+    fs = [(_random_poly(ctx, rng), False) for _ in range(20)]
+    fs += [(parse_poly(ctx, f"x^{d}"), True) for d in range(2, ctx.q - 1)
+           if math.gcd(d, ctx.q - 1) > 1]
+    order = ctx.elements_in_order()
+    witnesses = 0
+    for f, monomial in fs:
+        values = scalar_values(ctx, f)
+        rep = is_permutation(ctx, f)
+        assert rep.image_size == len(set(values)), to_text(ctx, f)
+        assert rep.witness == dict_walk_witness(ctx, values), to_text(ctx, f)
+        if rep.witness is not None:
+            witnesses += 1
+            position = order.index(rep.witness[1])
+            assert position <= rep.image_size, to_text(ctx, f)
+            if monomial:
+                assert position == rep.image_size, to_text(ctx, f)
+    assert witnesses > 20
+
+
+def hermite_permutes(ctx, f):
+    """Hermite's criterion (Lidl-Niederreiter, Lemma 7.3): f permutes GF(q)
+    iff sum_x f(x)^t = 0 for 1 <= t <= q - 2 and sum_x f(x)^(q-1) != 0.
+    It reads f's values through the scalar evaluator and sums their powers
+    with ctx.pow and ctx.add: no scatter, no count and no vector kernel."""
+    values = scalar_values(ctx, f)
+    for t in range(1, ctx.q):
+        total = 0
+        for v in values:
+            total = ctx.add(total, ctx.pow(v, t))
+        if (total != 0) != (t == ctx.q - 1):
+            return False
+    return True
+
+
+def _hermite_cases(ctx, rng):
+    """Seeded random sums of monomials, which rarely permute, with affine
+    compositions c*(x + a)^d + b on each side of gcd(d, q - 1) = 1."""
+    fs = [_random_poly(ctx, rng) for _ in range(6)]
+    units = [d for d in range(2, ctx.q - 1) if math.gcd(d, ctx.q - 1) == 1]
+    others = [d for d in range(2, ctx.q - 1) if math.gcd(d, ctx.q - 1) > 1]
+    for ds in (units, units, units, others, others):
+        c, a, b = (rng.randrange(1, ctx.q) for _ in range(3))
+        fs.append(parse_poly(ctx, f"{ctx.format_element(c)}*(x + {ctx.format_element(a)})"
+                                  f"^{rng.choice(ds)} + {ctx.format_element(b)}"))
+    return fs
+
+
+@pytest.mark.parametrize("p,n", SCALAR_FIELDS)
+def test_hermite_criterion_matches_is_permutation(p, n):
+    ctx = build_field(p, n)
+    fs = _hermite_cases(ctx, random.Random(f"hermite:{p}^{n}"))
+    verdicts = [hermite_permutes(ctx, f) for f in fs]
+    assert verdicts == [is_permutation(ctx, f).permutation for f in fs]
+    assert set(verdicts) == {True, False}
+
+
+def test_hermite_criterion_matches_is_permutation_on_every_p6_tuple():
+    ctx = field_for_family("P6", {"k": 2})
+    verdicts = set()
+    for params, poly, _ in iter_family("P6", {"k": 2}, ctx=ctx):
+        pp = hermite_permutes(ctx, poly)
+        assert pp == is_permutation(ctx, poly).permutation, (params.b, params.delta)
+        verdicts.add(pp)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
 @pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4)])
 def test_witness_search_chunk_boundaries(monkeypatch, p, n, chunk):
@@ -194,9 +279,10 @@ def test_witness_search_chunk_boundaries(monkeypatch, p, n, chunk):
     fs += [parse_poly(ctx, f"x^{d}") for d in range(2, 12)
            if math.gcd(d, ctx.q - 1) > 1]
     fs += [parse_poly(ctx, f"x^2 - g^{j}*x") for j in (1, 10)]
+    limits = [len(set(scalar_values(ctx, f))) + 1 for f in fs]
     monkeypatch.setattr(perm, "WITNESS_CHUNK", chunk)
-    for f in fs:
-        assert perm._first_collision(ctx, evaluate_all(ctx, f, "canonical")) == \
+    for f, limit in zip(fs, limits):
+        assert perm._first_collision(ctx, evaluate_all(ctx, f, "canonical"), limit) == \
             dict_walk_witness(ctx, evaluate_all(ctx, f))
     assert is_permutation(ctx, fs[-1]).witness == (0, ctx.gen_pow(10))
 
@@ -277,13 +363,59 @@ def test_witness_search_late(p, n, text):
     assert is_permutation(ctx, f).witness == want
 
 
-def test_image_recheck_is_independent(monkeypatch, gf256):
-    # a count that claims a full image for x^3 must trip the scatter re-check
+def numpy_with(**fakes):
+    """numpy as perm sees it, with the named functions replaced; every
+    other module keeps the real ones."""
+    return types.SimpleNamespace(**{**vars(np), **fakes})
+
+
+def test_full_scatter_trips_the_occupancy_count(monkeypatch, gf256):
+    # a scatter that claims a full image for x^3 must trip the bincount
     f = parse_poly(gf256, "x^3")
-    monkeypatch.setattr(perm.np, "bincount",
-                        lambda values, minlength: np.ones(minlength, dtype=np.int64))
-    with pytest.raises(AssertionError, match="image scatter"):
+    monkeypatch.setattr(perm, "np", numpy_with(zeros=np.ones))
+    with pytest.raises(AssertionError,
+                       match="^occupancy count and image scatter disagree$"):
         is_permutation(gf256, f)
+
+
+def test_occupancy_count_trips_the_scatter(monkeypatch, gf256):
+    # a count that misses an element of the permutation x^7 must disagree
+    # with the scatter's full image
+    f = parse_poly(gf256, "x^7")
+    assert is_permutation(gf256, f).permutation
+
+    def short_count(index, minlength):
+        counts = np.bincount(index, minlength=minlength)
+        counts[index[1]] = 0
+        return counts
+
+    monkeypatch.setattr(perm, "np", numpy_with(bincount=short_count))
+    with pytest.raises(AssertionError,
+                       match="^occupancy count and image scatter disagree$"):
+        is_permutation(gf256, f)
+
+
+@pytest.mark.parametrize("text", ["x^3", "x^7"])
+def test_undercount_trips_the_witness_search(monkeypatch, gf256, text):
+    # a count one below the true image bounds the search short of the first
+    # repeat of x^3 (position 86 = image size), and leaves the permutation
+    # x^7 a search with nothing to find; neither may surface as a TypeError
+    f = parse_poly(gf256, text)
+    monkeypatch.setattr(perm, "np", numpy_with(count_nonzero=lambda a: np.count_nonzero(a) - 1))
+    with pytest.raises(AssertionError,
+                       match="^image count and witness search disagree$"):
+        is_permutation(gf256, f)
+
+
+def test_check_pp_undercount_is_an_assertion_not_exit_2(monkeypatch, capsys):
+    # a wrong count is a fault in the program, not a bad input: it must
+    # not be reported as "error: ..." with exit 2
+    monkeypatch.setattr(perm, "np", numpy_with(count_nonzero=lambda a: np.count_nonzero(a) - 1))
+    for field_text, text in (("2^8", "x^3"), ("2^4", "x^7")):
+        with pytest.raises(AssertionError,
+                           match="^image count and witness search disagree$"):
+            main(["check-pp", "--field", field_text, "--poly", text])
+        assert capsys.readouterr().err == ""
 
 
 def _two_evaluation_complete(ctx, f):
