@@ -14,7 +14,7 @@ import sys
 from .circle import decompose, solve_quadratic, sqrt_char2
 from .families import (ELEMENT_PARAMS, FAMILIES, FAMILY_IDS, INT_PARAMS,
                        FamilyParams, field_for_family, make_family)
-from .field import build_field, parse_field_descriptor
+from .field import build_field, parse_field_descriptor, read_integer, read_modulus
 from .perm import is_complete_permutation, is_permutation, lemma1_check
 from .poly import SparsePoly, parse_poly, to_text
 from .scan import scan_necessity, scan_sufficiency, write_report
@@ -23,14 +23,28 @@ EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USAGE = 2
 
+INT_OPTIONS = INT_PARAMS + ("d",)       # lemma1 takes --r and --d
+
+
+def _read_int_options(args):
+    """Every integer option, read as field.read_integer reads it."""
+    for name in INT_OPTIONS:
+        text = getattr(args, name, None)
+        if text is not None:
+            setattr(args, name, read_integer(text, f"--{name}"))
+
+
+def _modulus_option(args):
+    return read_modulus(args.modulus) if args.modulus is not None else None
+
 
 def _field_from_args(args, tables=True):
     if getattr(args, "field", None):
         p, n, modulus = parse_field_descriptor(args.field)
     else:
         raise ValueError("--field is required")
-    if getattr(args, "modulus", None):
-        modulus = int(args.modulus, 0)
+    if args.modulus is not None:
+        modulus = read_modulus(args.modulus)
     return build_field(p, n, modulus, tables=tables)
 
 
@@ -114,8 +128,7 @@ def _family_field_params(args):
 
 def cmd_family(args):
     field_params = _family_field_params(args)
-    modulus = int(args.modulus, 0) if args.modulus else None
-    ctx = field_for_family(args.family, field_params, modulus)
+    ctx = field_for_family(args.family, field_params, _modulus_option(args))
     params = _family_params(args, ctx)
     poly, checklist = make_family(params)
     print(f"field {ctx!r}")
@@ -141,7 +154,7 @@ def cmd_scan(args):
         if name not in field_params and getattr(args, name) is not None:
             raise ValueError(f"scan enumerates {args.family}'s other "
                              f"parameters itself and takes no --{name}")
-    modulus = int(args.modulus, 0) if args.modulus else None
+    modulus = _modulus_option(args)
     if args.mode == "necessity":
         report = scan_necessity(args.family, field_params, modulus=modulus)
     else:
@@ -238,15 +251,15 @@ def _build_parser():
     p = sub.add_parser("lemma1",
                        help="coset criterion for x^r h(x^((q-1)/d))")
     add_field(p)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--r", required=True)
+    p.add_argument("--d", required=True)
     p.add_argument("--h", required=True, help="polynomial text for h")
     p.set_defaults(fn=cmd_lemma1)
 
     def add_family_args(p):
         p.add_argument("--family", required=True, choices=FAMILY_IDS)
         for name in INT_PARAMS:
-            p.add_argument(f"--{name}", type=int)
+            p.add_argument(f"--{name}")
         for name in ELEMENT_PARAMS:
             p.add_argument(f"--{name}")
         p.add_argument("--modulus", help="modulus override, packed 0x.. code")
@@ -285,6 +298,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _read_int_options(args)
         return args.fn(args)
     except (ValueError, TypeError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

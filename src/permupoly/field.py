@@ -48,6 +48,43 @@ def read_exponent(digits):
     return value if value <= MAX_EXPONENT else None
 
 
+def read_integer(text, what):
+    """The int that text spells as decimal digits, after a '-' or not, at
+    most MAX_EXPONENT in size: the form of the integer options and of p
+    and n in a field descriptor.  No '+', space, underscore or base
+    prefix; ValueError names what was read and the expected form."""
+    negative = text.startswith("-")
+    digits = text[negative:]
+    if not digits.isdecimal():
+        raise ValueError(f"bad {what} {text!r}: expected decimal digits")
+    value = read_exponent(digits)
+    if value is None:
+        raise ValueError(f"{what} {text} exceeds {bound_text(MAX_EXPONENT)}")
+    return -value if negative else value
+
+
+_PACKED_BASES = {"0x": 16, "0X": 16, "0b": 2, "0B": 2}
+_PACKED_DIGITS = {16: frozenset("0123456789abcdefABCDEF"), 2: frozenset("01")}
+
+
+def read_packed(text):
+    """The int a packed code spells, 0x and hex digits or 0b and binary
+    digits with nothing else (no sign, space or underscore), or None for
+    any other text.  Element and modulus text read codes only through it."""
+    base, digits = _PACKED_BASES.get(text[:2]), text[2:]
+    if base is None or not digits or not set(digits) <= _PACKED_DIGITS[base]:
+        return None
+    return int(digits, base)
+
+
+def read_modulus(text):
+    """A modulus given as text: its packed 0x/0b code, LSB = constant term."""
+    code = read_packed(text)
+    if code is None:
+        raise ValueError(f"bad modulus {text!r}: expected a packed 0x.. or 0b.. code")
+    return code
+
+
 def check_order(p, n):
     """p^n, or ValueError when it exceeds TABLE_BOUND.  The one size check:
     a p^n too large by bit lengths alone is refused before it is computed,
@@ -607,12 +644,10 @@ class FieldCtx:
                 raise ValueError(f"generator power {text!r} exceeds "
                                  f"{bound_text(MAX_EXPONENT)}")
             return self.gen_pow(-k if negative else k)
-        if t[:2] in ("0x", "0X", "0b", "0B"):
-            digits = t[2:]
-            base = 16 if t[1] in "xX" else 2
-            if not digits or not set(digits) <= _PACKED_DIGITS[base]:
+        if t[:2] in _PACKED_BASES:
+            code = read_packed(t)
+            if code is None:
                 raise ValueError(f"bad packed element literal {text!r}")
-            code = int(digits, base)
             if code >= self.q:
                 raise ValueError(f"element code {text} is not in GF({self.p}^{self.n})")
             return code
@@ -624,9 +659,6 @@ class FieldCtx:
 
     def __repr__(self):
         return f"GF({self.p}^{self.n}, modulus={hex(self.modulus_code)})"
-
-
-_PACKED_DIGITS = {16: frozenset("0123456789abcdefABCDEF"), 2: frozenset("01")}
 
 
 def _slices(count):
@@ -838,7 +870,9 @@ def build_field(p, n, modulus=None, tables=True):
 
 
 def parse_field_descriptor(text):
-    """Parse "p^n" with optional ":modulus=0x...". Returns (p, n, modulus|None)."""
+    """Parse "p^n" with optional ":modulus=0x...". Returns (p, n, modulus|None).
+    p and n are decimal digits and the modulus a packed code, read as the
+    integer options and --modulus are."""
     t = text.strip()
     modulus = None
     if ":" in t:
@@ -846,16 +880,13 @@ def parse_field_descriptor(text):
         key, _, val = opt.partition("=")
         if key.strip() != "modulus" or not val:
             raise ValueError(f"bad field descriptor option {opt!r}")
-        modulus = int(val, 0)
-    if "^" in t:
-        ps, _, ns = t.partition("^")
-    else:
-        ps, ns = t, "1"
-    try:
-        p, n = int(ps), int(ns)
-    except ValueError:
-        raise ValueError(f"bad field descriptor {text!r}: expected p^n") from None
-    return p, n, modulus
+        modulus = read_modulus(val)
+    ps, _, ns = t.partition("^") if "^" in t else (t, "", "1")
+    if not (ps.isdecimal() and ns.isdecimal()):
+        raise ValueError(f"bad field descriptor {text!r}: expected p^n "
+                         "with decimal p and n")
+    return (read_integer(ps, "field descriptor p"), read_integer(ns, "field descriptor n"),
+            modulus)
 
 
 def field_from_descriptor(text):

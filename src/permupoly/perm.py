@@ -4,9 +4,10 @@ The designated oracle at desk scale is the full image scan: evaluate f on
 every field element in canonical order (0 first, then ascending generator
 powers) and mark the values in a bool array indexed by packed element
 code; the marks counted are the image size.  Two measures back every
-verdict, and the cheap one decides: a full image is confirmed by an
-occupancy count (bincount), and any other count bounds the witness
-search, since among positions 0..image_size one value must repeat.
+verdict, and the cheap one decides: a full image is confirmed by sorting
+the values, which compares them and shares nothing with the scatter, and
+any other count bounds the witness search, since among positions
+0..image_size one value must repeat.
 Position i of the values is the i-th element of that order, so the
 witness search reads them as they are, with no reordering gather.
 Witnesses are the first repeat in canonical order and are re-checked
@@ -104,24 +105,25 @@ def _first_collision(ctx, values, limit):
 def _report(ctx, f, values):
     """The verdict on f from its values, each side checked a second way.
 
-    A bool scatter counts the image; it is freed before anything else
-    q-sized is allocated.  A full image is then confirmed by an occupancy
-    count (bincount), which only permutations pay for.  Otherwise the
-    index copy is dropped and the witness is searched for below the
-    pigeonhole bound of the count, then re-evaluated by the scalar
-    evaluator; a search that finds no repeat there means the count is
-    wrong.
+    A bool scatter counts the image; it and its intp index copy are freed
+    before anything else q-sized is allocated.  A full image is then
+    confirmed by sorting a copy of the values, which only permutations pay
+    for: the sorted values are 0..q-1 iff the first is 0, the last is q-1
+    and no two neighbours are equal.  Otherwise the witness is searched
+    for below the pigeonhole bound of the count, then re-evaluated by the
+    scalar evaluator; a search that finds no repeat there means the count
+    is wrong.
     """
-    index = values.astype(np.intp)      # one cast serves the scatter and the count
-    hit = np.zeros(ctx.q, dtype=bool)
-    hit[index] = True
+    q = ctx.q
+    hit = np.zeros(q, dtype=bool)
+    hit[values.astype(np.intp)] = True      # intp indices scatter faster than int32
     image_size = int(np.count_nonzero(hit))
     del hit
-    if image_size == ctx.q:
-        if np.count_nonzero(np.bincount(index, minlength=ctx.q)) != ctx.q:
-            raise AssertionError("occupancy count and image scatter disagree")
+    if image_size == q:
+        s = np.sort(values)
+        if s[0] != 0 or s[-1] != q - 1 or np.count_nonzero(s[1:] == s[:-1]):
+            raise AssertionError("sorted values and image scatter disagree")
         return PermReport(True, None, image_size)
-    del index
     witness = _first_collision(ctx, values, image_size + 1)
     if witness is None:
         raise AssertionError("image count and witness search disagree")

@@ -281,6 +281,60 @@ def test_out_of_range_modulus_code(capsys, argv, degree):
     assert err == f"error: modulus must be monic of degree {degree}\n"
 
 
+# malformed field, modulus and integer text: each is refused with one
+# error line naming the form it expected
+@pytest.mark.parametrize("argv, expected", [
+    (["field-info", "--field", "2^1_6"], "expected p^n with decimal p and n"),
+    (["field-info", "--field", "+2^4"], "expected p^n with decimal p and n"),
+    (["field-info", "--field", "2^+4"], "expected p^n with decimal p and n"),
+    (["field-info", "--field", "2^ 4"], "expected p^n with decimal p and n"),
+    (["field-info", "--field", "0x2^4"], "expected p^n with decimal p and n"),
+    (["field-info", "--field", "2^4:modulus=19"], "expected a packed 0x.. or 0b.. code"),
+    (["field-info", "--field", "2^4", "--modulus", "0x1_3"],
+     "expected a packed 0x.. or 0b.. code"),
+    (["field-info", "--field", "2^4", "--modulus", "19"], "expected a packed 0x.. or 0b.. code"),
+    (["field-info", "--field", "2^4", "--modulus", "zz"], "expected a packed 0x.. or 0b.. code"),
+    (["field-info", "--field", "2^4", "--modulus=-0x13"], "expected a packed 0x.. or 0b.. code"),
+    (["field-info", "--field", "2^4", "--modulus", ""], "expected a packed 0x.. or 0b.. code"),
+    (["scan", "--family", "P6", "--k", "1_0"], "expected decimal digits"),
+    (["scan", "--family", "P6", "--k", "+3"], "expected decimal digits"),
+    (["scan", "--family", "P4", "--q", "0x5", "--e", "2"], "expected decimal digits"),
+    (["family", "--family", "P1", "--m", "2", "--k", " 3", "--b", "g", "--delta", "0"],
+     "expected decimal digits"),
+    (["family", "--family", "P2", "--m", "3", "--s", "6.0", "--b", "1", "--delta", "1"],
+     "expected decimal digits"),
+    (["lemma1", "--field", "5^4", "--r", "1_51", "--d", "156", "--h", "x"],
+     "expected decimal digits"),
+    (["lemma1", "--field", "5^4", "--r", "151", "--d", "1e2", "--h", "x"],
+     "expected decimal digits"),
+])
+def test_malformed_field_modulus_and_integer_text_exits_2(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f"{expected}\n")
+    assert err.count("\n") == 1
+
+
+def test_integer_option_above_the_exponent_bound(capsys):
+    code, out, err = run(capsys, "scan", "--family", "P6", "--k", "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err == f"error: --k {'9' * 5000} exceeds 2^62\n"
+
+
+@pytest.mark.parametrize("argv, modulus", [
+    (["--field", "2^4", "--modulus", "0x13"], "0x13"),
+    (["--field", "2^4", "--modulus", "0b10011"], "0x13"),
+    (["--field", "2^6", "--modulus", "0X6D"], "0x6d"),
+    (["--field", "2^6:modulus=0x43"], "0x43"),
+    (["--field", "3^2:modulus=0b1010"], "0xa"),
+    (["--field", "7"], "0x7"),
+])
+def test_well_formed_field_text_builds(capsys, argv, modulus):
+    code, out, err = run(capsys, "field-info", *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith(f"modulus {modulus} ")
+
+
 # one valid flag set per family; the cases below come from families.FAMILIES
 FAMILY_FLAGS = {
     "P1": {"m": "2", "k": "3", "b": "g^1", "delta": "g^3", "c": "g^48"},

@@ -1,8 +1,11 @@
 import random
+import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permupoly import (ReducibleModulusError, build_field, canonical_modulus,
                        is_irreducible, parse_field_descriptor)
@@ -883,6 +886,73 @@ def test_field_descriptor():
         parse_field_descriptor("2^x")
     with pytest.raises(ValueError):
         parse_field_descriptor("2^4:foo=1")
+
+
+# the descriptor grammar: p and n are decimal digits, the modulus a packed code
+DESCRIPTOR = re.compile(r"(\d+)(?:\^(\d+))?(?::modulus=0([xX][0-9a-fA-F]+|[bB][01]+))?")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("2^22", (2, 22, None)), ("2^24", (2, 24, None)), ("3^15", (3, 15, None)),
+    ("4093^2", (4093, 2, None)), ("5^10", (5, 10, None)), ("2^6:modulus=0x6d", (2, 6, 0x6d)),
+    ("2^6:modulus=0xc3", (2, 6, 0xc3)), ("3^2:modulus=0b1010", (3, 2, 10)),
+    (" 2^4 ", (2, 4, None)),
+])
+def test_field_descriptor_well_formed(text, want):
+    assert parse_field_descriptor(text) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2^1_6", "bad field descriptor '2^1_6': expected p^n with decimal p and n"),
+    ("+2^4", "bad field descriptor '+2^4': expected p^n with decimal p and n"),
+    ("2^+4", "bad field descriptor '2^+4': expected p^n with decimal p and n"),
+    ("2^-4", "bad field descriptor '2^-4': expected p^n with decimal p and n"),
+    ("2^", "bad field descriptor '2^': expected p^n with decimal p and n"),
+    ("2^²", "bad field descriptor '2^²': expected p^n with decimal p and n"),
+    ("2^4:modulus=19", "bad modulus '19': expected a packed 0x.. or 0b.. code"),
+    ("2^4:modulus=0x1_3", "bad modulus '0x1_3': expected a packed 0x.. or 0b.. code"),
+    ("2^4:modulus=0o23", "bad modulus '0o23': expected a packed 0x.. or 0b.. code"),
+    ("2^" + "9" * 5000, f"field descriptor n {'9' * 5000} exceeds 2^62"),
+])
+def test_field_descriptor_malformed(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_field_descriptor(text)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789^:=modulusxXbB_+- abcdef", max_size=24))
+def test_field_descriptor_accepts_only_its_grammar(text):
+    """What parses matches the grammar and reads as int() reads it; what
+    matches the grammar parses, numbers above MAX_EXPONENT aside."""
+    m = DESCRIPTOR.fullmatch(text.strip())
+    want = m and (int(m[1]), int(m[2] or 1), int("0" + m[3], 0) if m[3] else None)
+    try:
+        got = parse_field_descriptor(text)
+    except ValueError:
+        assert not want or max(want[:2]) > field.MAX_EXPONENT, text
+        return
+    assert got == want, text
+
+
+@pytest.mark.parametrize("text, code", [
+    ("0x13", 0x13), ("0X1f", 0x1f), ("0b101", 5), ("0B0", 0),
+    ("0x", None), ("0b2", None), ("0x_1", None), ("0x1_3", None), ("19", None),
+    ("-0x13", None), (" 0x13", None), ("0o17", None), ("", None)])
+def test_read_packed(text, code):
+    assert field.read_packed(text) == code
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("17", 17), ("-1", -1), ("007", 7),
+                                         (str(field.MAX_EXPONENT), field.MAX_EXPONENT)])
+def test_read_integer(text, value):
+    assert field.read_integer(text, "--k") == value
+
+
+@pytest.mark.parametrize("text", ["", "-", "1_0", "+3", " 3", "3 ", "0x5", "1e2", "--1", "²"])
+def test_read_integer_refuses(text):
+    with pytest.raises(ValueError, match=f"^bad --k {re.escape(repr(text))}: "
+                                         "expected decimal digits$"):
+        field.read_integer(text, "--k")
 
 
 def test_no_table_field(monkeypatch):

@@ -369,30 +369,71 @@ def numpy_with(**fakes):
     return types.SimpleNamespace(**{**vars(np), **fakes})
 
 
-def test_full_scatter_trips_the_occupancy_count(monkeypatch, gf256):
-    # a scatter that claims a full image for x^3 must trip the bincount
+def test_full_scatter_trips_the_sorted_values(monkeypatch, gf256):
+    # a scatter that claims a full image for x^3 must trip the sort
     f = parse_poly(gf256, "x^3")
     monkeypatch.setattr(perm, "np", numpy_with(zeros=np.ones))
     with pytest.raises(AssertionError,
-                       match="^occupancy count and image scatter disagree$"):
+                       match="^sorted values and image scatter disagree$"):
         is_permutation(gf256, f)
 
 
-def test_occupancy_count_trips_the_scatter(monkeypatch, gf256):
-    # a count that misses an element of the permutation x^7 must disagree
-    # with the scatter's full image
+def test_sorted_values_trip_the_scatter(monkeypatch, gf256):
+    # sorted values that repeat an element of the permutation x^7 must
+    # disagree with the scatter's full image
     f = parse_poly(gf256, "x^7")
     assert is_permutation(gf256, f).permutation
 
-    def short_count(index, minlength):
-        counts = np.bincount(index, minlength=minlength)
-        counts[index[1]] = 0
-        return counts
+    def sort_with_a_repeat(a):
+        s = np.sort(a)
+        s[1] = s[0]
+        return s
 
-    monkeypatch.setattr(perm, "np", numpy_with(bincount=short_count))
+    monkeypatch.setattr(perm, "np", numpy_with(sort=sort_with_a_repeat))
     with pytest.raises(AssertionError,
-                       match="^occupancy count and image scatter disagree$"):
+                       match="^sorted values and image scatter disagree$"):
         is_permutation(gf256, f)
+
+
+def _negative_code(values):
+    """A kernel fault: the code q - 1 comes back as -1, which the scatter
+    wraps onto q - 1."""
+    values = values.copy()
+    values[values == len(values) - 1] = -1
+    return values
+
+
+def test_negative_code_trips_the_sorted_values(gf16):
+    values = _negative_code(evaluate_all(gf16, parse_poly(gf16, "x^7"), "canonical"))
+    with pytest.raises(AssertionError,
+                       match="^sorted values and image scatter disagree$"):
+        perm._report(gf16, parse_poly(gf16, "x^7"), values)
+
+
+def test_check_pp_negative_code_is_an_assertion_not_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(perm, "evaluate_all",
+                        lambda ctx, f, order: _negative_code(evaluate_all(ctx, f, order)))
+    with pytest.raises(AssertionError,
+                       match="^sorted values and image scatter disagree$"):
+        main(["check-pp", "--field", "2^4", "--poly", "x^7"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("p,n", SCALAR_FIELDS)
+def test_unit_exponents_permute_by_both_measures(p, n):
+    """x^d and c*(x + a)^d + b with gcd(d, q - 1) = 1 permute the field:
+    is_permutation gives a full image, and so does the scalar evaluator."""
+    ctx = build_field(p, n)
+    rng = random.Random(f"units:{p}^{n}")
+    fs = []
+    for d in range(1, ctx.q):
+        if math.gcd(d, ctx.q - 1) == 1:
+            c, a, b = (ctx.format_element(rng.randrange(k, ctx.q)) for k in (1, 0, 0))
+            fs += [parse_poly(ctx, f"x^{d}"), parse_poly(ctx, f"{c}*(x + {a})^{d} + {b}")]
+    for f in fs:
+        rep = is_permutation(ctx, f)
+        assert rep.permutation and rep.image_size == ctx.q, to_text(ctx, f)
+        assert len(set(scalar_values(ctx, f))) == ctx.q, to_text(ctx, f)
 
 
 @pytest.mark.parametrize("text", ["x^3", "x^7"])
