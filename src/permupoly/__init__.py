@@ -15,8 +15,7 @@ from .families import (FAMILY_IDS, ChecklistEntry, FamilyParams,
                        HypothesisChecklist, NECESSITY_CLAUSE, enumerate_params,
                        field_for_family, iter_family, kernel_is_trivial,
                        make_family, proof_identity_check)
-from .scan import (ScanReport, load_report, scan_necessity, scan_sufficiency,
-                   write_report)
+from .scan import ScanReport, scan_necessity, scan_sufficiency, write_report
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,6 @@ __all__ = [
     "FAMILY_IDS", "ChecklistEntry", "FamilyParams", "HypothesisChecklist",
     "NECESSITY_CLAUSE", "enumerate_params", "field_for_family", "iter_family",
     "kernel_is_trivial", "make_family", "proof_identity_check",
-    "ScanReport", "load_report", "scan_necessity", "scan_sufficiency",
-    "write_report",
+    "ScanReport", "scan_necessity", "scan_sufficiency", "write_report",
     "__version__",
 ]

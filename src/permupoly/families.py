@@ -106,6 +106,9 @@ class Family:
     optional: tuple = ()
     derive: object = None
     necessity: str | None = None    # the clause a necessity scan tests
+    # violating(fp, q): tuples that a necessity scan finds on the violating
+    # side (every other gating clause holds, the condition fails)
+    violating: object = None
     proof: object = None            # see proof_identity_check
     proof_needs: str = "satisfying parameters"
     proof_strict: bool = False
@@ -611,10 +614,16 @@ FAMILIES = _Table({
                  _prime_power, _make_p4),
     "P5": _b_delta_family(
         ("m",), lambda m: 1 << m, lambda m: (1 << (2 * m - 1)) + (1 << (m - 1)),
-        _p5_delta, _p5_b, necessity="b^(2^m)+b = b^(2^m+1)"),
+        _p5_delta, _p5_b, necessity="b^(2^m)+b = b^(2^m+1)",
+        # q-2^m deltas of nonzero relative trace; q-2^(m+1) b outside
+        # F_(2^m), as 2^m of those q-2^m have b+1 on the unit circle
+        violating=lambda fp, q: (q - (1 << fp["m"])) * (q - (2 << fp["m"]))),
     "P6": _b_delta_family(
         ("k",), lambda k: 2, lambda k: (1 << (2 * k - 1)) - (1 << (k - 1)),
-        _p6_delta, _p6_b, b_values=_nonzero, necessity="b in F_(2^k)\\{0}"),
+        _p6_delta, _p6_b, b_values=_nonzero, necessity="b in F_(2^k)\\{0}",
+        # q/2 deltas of trace 1 times q-2^k b outside F_(2^k); k = 1 fails k > 1
+        violating=lambda fp, q: (
+            (q - (1 << fp["k"])) * q // 2 if fp["k"] > 1 else 0)),
 })
 FAMILY_IDS = tuple(FAMILIES)
 # clause tested by scan_necessity, per family that has one

@@ -17,9 +17,10 @@ tested condition holds, which is the expected permutation verdict.
 
 Scans are deterministic: one sequential pass on the calling thread walks
 the parameter space in enumeration order and tallies straight into the
-report.  A necessity scan above the sample threshold first counts the
-condition-violating tuples, then keeps every stride-th of them by a
-running ordinal.
+report.  A necessity scan whose family record states more
+condition-violating tuples than the sample threshold keeps every
+stride-th of them by a running ordinal; every necessity scan checks its
+count of them against the record.
 """
 
 import csv
@@ -96,23 +97,6 @@ class ScanReport:
             "command": self.command,
         }
 
-    @staticmethod
-    def from_dict(d):
-        t = d["totals"]
-        rep = ScanReport(
-            family=d["family"], mode=d["mode"], field=d["field"],
-            field_params=d["params"], total=t["tuples"],
-            satisfying=t["satisfying"],
-            pp_true_satisfying=t["pp_true_among_satisfying"],
-            pp_true_violating=t["pp_true_among_violating"],
-            confusion=dict(d["confusion"]),
-            discrepancies=list(d["discrepancies"]),
-            discrepancy_count=d["discrepancy_count"],
-            sampled=d["sampled"], duration_ms=d["duration_ms"],
-            command=d.get("command"),
-        )
-        return rep
-
 
 def _discrepancy(ctx, params, expected, observed, witness):
     d = {"params": params.to_dict(), "expected": expected, "observed": observed}
@@ -163,16 +147,12 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
         ctx = field_for_family(family, field_params, modulus)
     start = time.perf_counter()
 
-    # Sampling pre-pass: necessity scans evaluate the condition-violating
-    # side exhaustively up to the threshold; above it, a deterministic
-    # stride sample is taken over violating ordinals.
+    # Necessity scans evaluate the condition-violating side exhaustively up
+    # to the threshold; above it, every stride-th violating ordinal.
     stride = 1
-    if mode == "necessity" and domain > sample_threshold:
-        total_viol = sum(
-            _condition(checklist, cond_name) is False
-            for _, _, checklist in iter_family(family, field_params, ctx))
-        if total_viol > sample_threshold:
-            stride = -(-total_viol // sample_threshold)  # ceil
+    if cond_name is not None:
+        violating = FAMILIES[family].violating(field_params, q)
+        stride = max(1, -(-violating // sample_threshold))  # ceil
 
     report = ScanReport(
         family=family, mode=mode,
@@ -214,6 +194,10 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
     if mode == "sufficiency":
         report.total = domain   # every tuple counts, evaluated or not
     else:
+        if viol_ordinal != violating:
+            raise AssertionError(
+                f"{family} {field_params} necessity scan met {viol_ordinal} "
+                f"condition-violating tuples; its record states {violating}")
         tt, ft = report.pp_true_satisfying, report.pp_true_violating
         report.confusion = dict(tt=tt, tf=report.satisfying - tt, ft=ft,
                                 ff=report.total - report.satisfying - ft)
@@ -246,8 +230,8 @@ def report_json(report):
 
 
 def write_report(report, path, fmt="json"):
-    """Deterministic report file; json round-trips through load_report,
-    csv flattens one evaluated tuple per row."""
+    """Deterministic report file; json holds the report's to_dict, csv
+    flattens one evaluated tuple per row."""
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(report_json(report))
@@ -276,8 +260,3 @@ def _write_csv(report, path):
             w.writerow([report.family, *(row[i] for i in ints),
                         *(None if row[i] is None else fmt(row[i]) for i in elems),
                         *(row[i] for i in verdicts.values())])
-
-
-def load_report(path):
-    with open(path, encoding="utf-8") as fh:
-        return ScanReport.from_dict(json.load(fh))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -6,9 +7,8 @@ import sys
 import pytest
 
 import permupoly.scan as scan_mod
-from permupoly import (load_report, scan_necessity, scan_sufficiency,
-                       write_report)
-from permupoly.families import NECESSITY_CLAUSE, field_for_family
+from permupoly import scan_necessity, scan_sufficiency, write_report
+from permupoly.families import FAMILIES, NECESSITY_CLAUSE, field_for_family
 from permupoly.scan import report_json
 
 
@@ -72,15 +72,6 @@ def test_threads_env(monkeypatch):
     monkeypatch.delenv("PERMUPOLY_THREADS")
     ref = scan_necessity("P6", {"k": 2})
     assert strip_timing(rep) == strip_timing(ref)
-
-
-def test_report_roundtrip(tmp_path):
-    rep = scan_necessity("P6", {"k": 2})
-    path = tmp_path / "r.json"
-    write_report(rep, str(path))
-    loaded = load_report(str(path))
-    a, b = rep.to_dict(), loaded.to_dict()
-    assert a == b
 
 
 def test_report_byte_identical_reruns(tmp_path):
@@ -172,12 +163,14 @@ def test_scan_json_schema(tmp_path):
     assert isinstance(payload["duration_ms"], float)
 
 
-@pytest.mark.parametrize("family, field_params, tuples", [
-    ("P6", {"k": 3}, 63 * 64),
-    ("P5", {"m": 2}, 16 * 16),
-    ("P1", {"m": 2, "k": 3}, 4096),
-], ids=["P6-k3", "P5-m2", "P1-m2k3"])
-def test_scan_builds_each_tuple_once(monkeypatch, family, field_params, tuples):
+@pytest.mark.parametrize("family, field_params, kwargs, tuples", [
+    ("P6", {"k": 3}, {}, 63 * 64),
+    ("P6", {"k": 3}, {"sample_threshold": 100}, 63 * 64),
+    ("P5", {"m": 2}, {}, 16 * 16),
+    ("P1", {"m": 2, "k": 3}, {}, 4096),
+], ids=["P6-k3", "P6-k3-sampled", "P5-m2", "P1-m2k3"])
+def test_scan_builds_each_tuple_once(monkeypatch, family, field_params, kwargs,
+                                     tuples):
     # one make_family call per enumerated tuple, each tuple once
     import permupoly.families as families_mod
 
@@ -189,8 +182,40 @@ def test_scan_builds_each_tuple_once(monkeypatch, family, field_params, tuples):
 
     monkeypatch.setattr(families_mod, "make_family", counting)
     scan = scan_necessity if family in NECESSITY_CLAUSE else scan_sufficiency
-    scan(family, field_params)
+    scan(family, field_params, **kwargs)
     assert len(calls) == len(set(calls)) == tuples
+
+
+# 0x43 is GF(2^6)'s canonical modulus; 0x49 and 0x57 are two other
+# irreducibles of degree 6
+@pytest.mark.parametrize("modulus", [0x49, 0x57])
+@pytest.mark.parametrize("family, field_params, kwargs, tt, ff", [
+    ("P6", {"k": 3}, {}, 224, 1792),
+    ("P5", {"m": 3}, {}, 448, 2688),
+    # every 18th of the 1,792 violating tuples
+    ("P6", {"k": 3}, {"sample_threshold": 100}, 224, 100),
+], ids=["P6-k3", "P5-m3", "P6-k3-sampled"])
+def test_necessity_totals_do_not_depend_on_modulus(family, field_params,
+                                                   kwargs, tt, ff, modulus):
+    # verdict counts are properties of the abstract field
+    canonical = scan_necessity(family, field_params, **kwargs)
+    assert canonical.field["modulus"] == "0x43"
+    assert canonical.confusion == dict(tt=tt, tf=0, ft=0, ff=ff)
+    other = scan_necessity(family, field_params, modulus=modulus, **kwargs)
+    assert other.field["modulus"] == hex(modulus)
+    assert other.to_dict()["totals"] == canonical.to_dict()["totals"]
+    assert other.confusion == canonical.confusion
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"sample_threshold": 50}],
+                         ids=["exhaustive", "sampled"])
+def test_violating_count_off_by_one_is_caught(monkeypatch, kwargs):
+    p6 = FAMILIES["P6"]
+    monkeypatch.setitem(FAMILIES, "P6", dataclasses.replace(
+        p6, violating=lambda fp, q: p6.violating(fp, q) + 1))
+    with pytest.raises(AssertionError, match=r"^P6 \{'k': 2\} .* met 96 "
+                       r"condition-violating tuples; its record states 97$"):
+        scan_necessity("P6", {"k": 2}, **kwargs)
 
 
 class FieldBuilt(Exception):
