@@ -11,9 +11,10 @@ so is every value array the vector kernels return, whatever the integer
 dtype of their operands.  In odd characteristic add_vec reads no log: it
 adds the packed codes a group of base-p digits at a time, through a small
 read-only uint16 table of digit-group sums (ADD_TABLE_BOUND entries at
-most), or by a wrap where a group is one digit.  The odd-p add, the
-canonical-order monomial gather and the table build walk their arrays in
-KERNEL_BLOCK slices, so their temporaries stay the size of a slice.  All
+most), or by a wrap where a group is one digit.  The odd-p add and the
+table build walk their arrays in KERNEL_BLOCK slices, and
+poly.evaluate_all hands the other kernels one slice at a time, so their
+temporaries stay the size of a slice.  All
 operations are pure and the context is immutable after construction, apart
 from its caches: poly.evaluate_all's bounded memo of composite powers
 (_powers), families._part's bounded memo of family terms and clauses
@@ -490,18 +491,20 @@ class FieldCtx:
             raise ValueError(self._log.message)
         return self._E, self._L
 
-    def add_vec(self, A, B):
+    def add_vec(self, A, B, out=None):
         """A + B elementwise on 1-d integer arrays of codes, as a new int32
-        array; either operand may be one code.  For p = 2 it is one XOR.
-        For odd p the digit-group add runs one KERNEL_BLOCK slice at a time,
-        so its temporaries stay the size of a slice, and a scalar operand
-        stays a scalar."""
+        array, or written into the int32 array out, which may be A or B;
+        either operand may be one code.  For p = 2 it is one XOR.  For odd
+        p the digit-group add runs one KERNEL_BLOCK slice at a time, so its
+        temporaries stay the size of a slice, and a scalar operand stays a
+        scalar."""
         if self.p == 2:
-            return np.bitwise_xor(A, B, dtype=np.int32)
+            return np.bitwise_xor(A, B, out=out, dtype=np.int32)
         if np.ndim(A) == 0:
             A, B = B, A                 # the sum commutes, so A is the array
         self._tables()                  # raises for a field without tables
-        out = np.empty(len(A), dtype=np.int32)
+        if out is None:
+            out = np.empty(len(A), dtype=np.int32)
         for lo, hi in _slices(len(A)):
             self._digit_add(_uint32(A[lo:hi]), _uint32(B[lo:hi]) if np.ndim(B) else int(B),
                             out[lo:hi].view(np.uint32))
@@ -514,7 +517,8 @@ class FieldCtx:
         s = W with a table and 1 without: r_j = c_j - W * c_(j+1) is the
         table index u * W + v, or the digit sum u + v < 2p, which one wrap
         reduces.  The groups run from the top, and out becomes out * W plus
-        their sum.  c_0 may pass 2^32 and wrap, but r_0 < W^2 stays exact."""
+        their sum.  c_0 may pass 2^32 and wrap, but r_0 < W^2 stays exact.
+        Every c_j is formed before out is written, so out may be A or B."""
         W, T = self._group, self._T
 
         def pair(j):
@@ -528,10 +532,10 @@ class FieldCtx:
         def group_sum(r):
             return np.minimum(r, r - W) if T is None else T.take(r)
 
-        upper = pair(self._groups - 1)
+        pairs = [pair(j) for j in range(self._groups)]
+        upper = pairs.pop()
         out[...] = group_sum(upper)
-        for j in range(self._groups - 2, -1, -1):
-            c = pair(j)
+        for c in reversed(pairs):
             upper *= W
             out *= W
             out += group_sum(np.subtract(c, upper, out=upper))
@@ -575,36 +579,58 @@ class FieldCtx:
         out[A == 0] = 0
         return out
 
-    def monomial_vec(self, c, e, logs=None):
-        """c * x^e (c != 0, e != 0) on all q points, element 0 at position 0.
+    def monomial_vec(self, c, e, logs=None, lo=0, hi=None, runs=None):
+        """c * x^e (c != 0, e != 0) at positions lo..hi of an evaluation
+        order (every position by default), element 0 at position 0.
 
-        logs holds the points' discrete logs (L itself in code order); None
-        means canonical order, where position i + 1 holds g^i.  The result
-        is a gather of the exp table at log c + e * log x: for canonical
-        order an arithmetic progression, taken one KERNEL_BLOCK slice at a
-        time, and for e = 1 a rotation.
+        logs holds the points' discrete logs (L, or its slice lo..hi, in
+        code order); None means canonical order, where position i + 1 holds
+        g^i.  The result is a gather of the exp table at log c + e * log x:
+        for canonical order a rotation for e = 1, and otherwise an
+        arithmetic progression of indices.  runs, a dict that the slices of
+        one evaluation share, keeps each progression with the position it
+        starts at; a later slice moves it on in place, so only the first
+        slice builds it.
         """
-        E, _ = self._tables()
         qm1 = self._qm1
-        k, e = self._log[c], e % qm1
+        k, e = self._log[c], e % qm1    # the log read raises for a field without tables
+        E = self._E
         if logs is not None:
             out = E[(np.multiply(logs, e, dtype=np.int64) + k) % qm1]
-        elif e == 0:                    # x^(q-1) = 1 for x != 0
-            out = np.full(self.q, E[k])
-        elif e == 1:
-            out = np.empty_like(E, shape=self.q)
-            out[1:qm1 - k + 1] = E[k:]
-            out[qm1 - k + 1:] = E[:k]
-        else:                           # position 0 takes k - e, and is cleared
-            # one slice of the progression, moved on by e * KERNEL_BLOCK per slice
-            out = np.empty(self.q, dtype=np.int32)
-            idx = _progression(k - e, e, min(self.q, KERNEL_BLOCK), qm1)
-            for lo, hi in _slices(self.q):
-                if lo:
-                    _wrap(np.add(idx, e * KERNEL_BLOCK % qm1, out=idx), qm1)
-                E.take(idx[:hi - lo], out=out[lo:hi])
-        out[0] = 0
+        else:
+            count = (self.q if hi is None else hi) - lo
+            if e == 0:                  # x^(q-1) = 1 for x != 0
+                out = np.full(count, E[k])
+            elif e == 1:                # position i holds g^(k + i - 1)
+                start = (k - 1 + lo) % qm1
+                head = min(count, qm1 - start)
+                out = np.empty(count, dtype=np.int32)
+                out[:head] = E[start:start + head]
+                out[head:] = E[:count - head]
+            else:
+                out = E.take(self._progression_run(k, e, lo, count, runs))
+        if lo == 0:
+            out[0] = 0
         return out
+
+    def _progression_run(self, k, e, lo, count, runs):
+        """(k + e * (i - 1)) mod q-1 for the count positions i from lo, as an
+        int64 array, kept in runs under (k, e) when runs is a dict.  A kept
+        run is moved on from its position to lo by one add and one wrap, in
+        place; slices come in ascending order, so it is never shorter than
+        count."""
+        qm1 = self._qm1
+        run = None if runs is None else runs.get((k, e))
+        if run is None:
+            idx = _progression((k + e * (lo - 1)) % qm1, e, count, qm1)
+            if runs is not None:
+                runs[k, e] = [lo, idx]
+            return idx
+        at, idx = run
+        if at != lo:
+            _wrap(np.add(idx, e * (lo - at) % qm1, out=idx), qm1)
+            run[0] = lo
+        return idx[:count]
 
     def field_sum_vec(self, A):
         """Field sum of a 1-d array of codes."""

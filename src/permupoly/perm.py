@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .field import KERNEL_BLOCK
 from .poly import CompositePoly, SparsePoly, evaluate, evaluate_all, eval_sparse
 
 WITNESS_CHUNK = 1 << 12     # positions after 0 the witness search walks with a dict;
@@ -70,15 +71,15 @@ def _first_collision(ctx, values, limit):
     through a dict, which finds early witnesses at no set-up cost; it
     walks WITNESS_PREFIX positions after 0 first and converts the rest of
     them only when those hold no repeat, since most witnesses lie there.
-    Later positions are searched in numpy chunks that double in size, the
-    last one clipped at limit: first[v] holds the least position seen so
-    far with value v, so after np.minimum.at the first position of a chunk
-    above first[its value] is the least repeating position, and first[its
-    value] is where that value first occurred: the pair the dict walk
-    would return.
+    Later positions are searched in numpy chunks that double in size up to
+    KERNEL_BLOCK, the last one clipped at limit: first[v] holds the least
+    position seen so far with value v, so after np.minimum.at the first
+    position of a chunk above first[its value] is the least repeating
+    position, and first[its value] is where that value first occurred: the
+    pair the dict walk would return.
     """
     end = min(WITNESS_CHUNK, limit - 1)     # the dict walks positions 1..end
-    seen, mid = {int(values[0]): 0}, min(WITNESS_PREFIX, end)
+    seen, mid = {values.item(0): 0}, min(WITNESS_PREFIX, end)
     for lo, hi in ((0, mid), (mid, end)):
         witness = _dict_walk(ctx._exp[lo:hi], values[lo + 1:hi + 1].tolist(), seen)
         if witness is not None:
@@ -98,30 +99,37 @@ def _first_collision(ctx, values, limit):
             j = repeats[0]
             x1 = int(first[v[j]])
             return (ctx.gen_pow(x1 - 1) if x1 else 0, ctx.gen_pow(lo + j - 1))
-        lo, size = hi, 2 * size
+        lo, size = hi, min(2 * size, KERNEL_BLOCK)
     return None
 
 
 def _report(ctx, f, values):
     """The verdict on f from its values, each side checked a second way.
 
-    A bool scatter counts the image; it and its intp index copy are freed
-    before anything else q-sized is allocated.  A full image is then
-    confirmed by sorting a copy of the values, which only permutations pay
-    for: the sorted values are 0..q-1 iff the first is 0, the last is q-1
-    and no two neighbours are equal.  Otherwise the witness is searched
-    for below the pigeonhole bound of the count, then re-evaluated by the
-    scalar evaluator; a search that finds no repeat there means the count
-    is wrong.
+    A bool scatter counts the image, one KERNEL_BLOCK slice of intp
+    indices at a time, and is freed before anything else q-sized is
+    allocated.  A full image is then confirmed by sorting a copy of the
+    values, which only permutations pay for: the sorted values are 0..q-1
+    iff the first is 0, the last is q-1 and no two neighbours are equal,
+    compared one KERNEL_BLOCK slice at a time.  Otherwise the witness is
+    searched for below the pigeonhole bound of the count, then re-evaluated
+    by the scalar evaluator; a search that finds no repeat there means the
+    count is wrong.
     """
     q = ctx.q
-    hit = np.zeros(q, dtype=bool)
-    hit[values.astype(np.intp)] = True      # intp indices scatter faster than int32
+    hit, lo = np.zeros(q, dtype=bool), 0
+    while lo < q:           # as in evaluate_all; intp indices scatter faster than int32
+        hit[values[lo:lo + KERNEL_BLOCK].astype(np.intp)] = True
+        lo += KERNEL_BLOCK
     image_size = int(np.count_nonzero(hit))
     del hit
     if image_size == q:
-        s = np.sort(values)
-        if s[0] != 0 or s[-1] != q - 1 or np.count_nonzero(s[1:] == s[:-1]):
+        s, repeats, lo = np.sort(values), 0, 0
+        while lo < q - 1:                   # each run overlaps the next by one
+            run = s[lo:lo + KERNEL_BLOCK + 1]
+            repeats += np.count_nonzero(run[1:] == run[:-1])
+            lo += KERNEL_BLOCK
+        if s[0] != 0 or s[-1] != q - 1 or repeats:
             raise AssertionError("sorted values and image scatter disagree")
         return PermReport(True, None, image_size)
     witness = _first_collision(ctx, values, image_size + 1)
@@ -130,7 +138,7 @@ def _report(ctx, f, values):
     x1, x2 = witness
     if evaluate(ctx, f, x1) != evaluate(ctx, f, x2) or x1 == x2:
         raise AssertionError("collision witness failed re-evaluation")
-    return PermReport(False, (x1, x2), image_size)
+    return PermReport(False, witness, image_size)
 
 
 def is_permutation(ctx, f):
@@ -141,13 +149,13 @@ def is_permutation(ctx, f):
 def is_complete_permutation(ctx, f):
     """complete = yes iff both f and f + x are permutations.
 
-    f is evaluated once; the values of f + x are its values plus the
-    points in canonical order, 0 then the exp table.
+    f is evaluated once; after f's report, its values plus the points in
+    canonical order (0, then the exp table) become the values of f + x, in
+    place, so one value array serves both reports.
     """
     values = evaluate_all(ctx, f, "canonical")
-    shifted = ctx.add_vec(values, ctx._P)
     rep = _report(ctx, f, values)
-    rep_shift = _report(ctx, f.plus_x(), shifted)
+    rep_shift = _report(ctx, f.plus_x(), ctx.add_vec(values, ctx._P, values))
     return replace(rep, complete=rep.permutation and rep_shift.permutation)
 
 

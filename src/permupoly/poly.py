@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import MAX_EXPONENT, read_exponent
+from .field import KERNEL_BLOCK, MAX_EXPONENT, read_exponent
 
 REDUCE_FIELD_BOUND = 1 << 12
 # Bytes of composite powers T^e that evaluate_all keeps per field: 2^17
 # int32 codes, or 512 entries at q = 2^8.  That holds all 256 bases of a
-# q = 2^8 scan and stays below one GF(2^20) value array (4 MiB), so
-# large-field checks store nothing.
+# q = 2^8 scan.  Only whole-field arrays are stored, so a field above
+# KERNEL_BLOCK, evaluated in slices, stores nothing.
 POWER_MEMO_BYTES = 1 << 19
 
 # the identity inner polynomial x
@@ -85,6 +85,9 @@ class CompositePoly:
         return CompositePoly(self.terms + ((1, SparsePoly(X_TERMS), 1),))
 
 
+_X = SparsePoly(X_TERMS)
+
+
 def eval_sparse(ctx, sp, x):
     """sp(x) from the log tables: a term c * x^e is one exp-table read at
     log c + e * log x (mod q-1), and the terms sum by XOR for p = 2.  At
@@ -129,51 +132,65 @@ def evaluate(ctx, f, x):
     return acc
 
 
-def _sum_terms(ctx, X, logs, terms):
-    """Sum of c * T^e over (c, T, e) terms at the points X, whose logs are
-    logs (see FieldCtx.monomial_vec); T is None for the base x, or else the
-    value array of a power, which comes with e = 1.  The first term starts
-    the sum, so the empty sum is zeros like X.  A term calls only the
-    kernels it needs: e = 0 is the constant c (0^0 = 1), and the constants
-    fold into one scalar added last; c * x^e is one monomial_vec gather and
-    x itself is X, while a value array skips the scale for c = 1.  The
-    result is always writable: a read-only acc (a table, or a memo entry)
-    is copied."""
+def _sum_terms(ctx, order, terms, X, logs, lo, runs, out):
+    """Sum of the (c, base, e) terms c * base(x)^e at the points X, which
+    sit at positions lo.. of the given order and whose logs are logs (see
+    FieldCtx.monomial_vec, which keeps its progressions in runs), written
+    into the int32 array out and returned.  Every add writes into out, and
+    a sum of one term is copied there.  A term calls only the kernels it
+    needs: e = 0 is the constant c (0^0 = 1), and the constants fold into
+    one scalar added last; c * x^e is one monomial_vec gather and x itself
+    is X, while a composite base is raised through the memo (_base_power)
+    and skips the scale for c = 1."""
     acc, const = None, 0
-    for c, T, e in terms:
+    for c, base, e in terms:
         if c == 0:
             continue
         if e == 0:
             const = ctx.add(const, c)
             continue
-        if T is None:
-            v = X if c == 1 and e == 1 else ctx.monomial_vec(c, e, logs)
+        if base.terms == X_TERMS:
+            v = X if c == 1 and e == 1 else ctx.monomial_vec(c, e, logs, lo, lo + len(X), runs)
         else:
-            v = T if c == 1 else ctx.scale_vec(c, T)
-        acc = v if acc is None else ctx.add_vec(acc, v)
+            v = _base_power(ctx, order, base, e, X, logs, lo, runs)
+            if c != 1:
+                v = ctx.scale_vec(c, v)
+        acc = v if acc is None else ctx.add_vec(acc, v, out)
     if acc is None:
-        return np.full_like(X, const)
-    if const:
-        return ctx.add_vec(acc, const)
-    return acc if acc.flags.writeable else acc.copy()
+        out.fill(const)
+    elif const:
+        ctx.add_vec(acc, const, out)
+    elif acc is not out:
+        out[...] = acc
+    return out
 
 
-def eval_sparse_all(ctx, sp, X, logs):
-    return _sum_terms(ctx, X, logs, ((c, None, e) for e, c in sp.terms))
+def _x_terms(sp):
+    """The monomials of a SparsePoly as (c, x, e) terms."""
+    return tuple((c, _X, e) for e, c in sp.terms)
 
 
-def _base_power(ctx, order, base, e, X, logs):
-    """T^e for a composite base T = base(x) and e != 0, at the points X in
-    the given order, from the field's memo.  A miss is evaluated, and stored
-    read-only while the memo stays within POWER_MEMO_BYTES; every entry
-    holds q codes.  Scans cycle through their bases, so store-until-full
-    keeps hitting where LRU eviction would miss every time."""
+def eval_sparse_all(ctx, sp, X, logs, lo, runs):
+    """sp at the points X, as a new array; its terms are on x alone, so no
+    order is needed."""
+    return _sum_terms(ctx, None, _x_terms(sp), X, logs, lo, runs,
+                      np.empty(len(X), dtype=np.int32))
+
+
+def _base_power(ctx, order, base, e, X, logs, lo, runs):
+    """T^e for a composite base T = base(x) and e != 0, at the points X of
+    one slice of the given order, from the field's memo.  A miss is
+    evaluated, and stored read-only when it covers the whole field and the
+    memo stays within POWER_MEMO_BYTES; every entry holds q codes, so the
+    slices of a larger field are never stored.  Scans cycle through their
+    bases, so store-until-full keeps hitting where LRU eviction would miss
+    every time."""
     memo, key = ctx._powers, (order, base.terms, e)
     v = memo.get(key)
     if v is None:
-        T = eval_sparse_all(ctx, base, X, logs)
+        T = eval_sparse_all(ctx, base, X, logs, lo, runs)
         v = T if e == 1 else ctx.pow_vec(T, e)
-        if (len(memo) + 1) * v.nbytes <= POWER_MEMO_BYTES:
+        if len(v) == ctx.q and (len(memo) + 1) * v.nbytes <= POWER_MEMO_BYTES:
             v.flags.writeable = False
             memo[key] = v
     return v
@@ -182,23 +199,34 @@ def _base_power(ctx, order, base, e, X, logs):
 def evaluate_all(ctx, f, order="code"):
     """Values of f on every field element, as an array in the given order:
     "code" indexes by element code; "canonical" puts f(0) at position 0 and
-    f(g^i) at position i + 1.  The result is a fresh writable array.
+    f(g^i) at position i + 1.  The result is a fresh writable int32 array,
+    filled one KERNEL_BLOCK slice at a time, so every other array the
+    evaluation makes is the size of a slice.
 
     Needs log tables; without them it raises before any work, even for f = x.
     """
-    _, L = ctx._tables()
+    L = ctx._L
+    if L is None:
+        ctx._tables()                   # raises: the field has no log tables
     if order == "code":
-        X, logs = np.arange(ctx.q, dtype=L.dtype), L
+        P = None
     elif order == "canonical":
-        X, logs = ctx._P, None
+        P = ctx._P
     else:
         raise ValueError(f"unknown evaluation order {order!r}")
-    if isinstance(f, SparsePoly):
-        return eval_sparse_all(ctx, f, X, logs)
-    return _sum_terms(ctx, X, logs, (
-        (c, None, e) if e == 0 or base.is_x()
-        else (c, _base_power(ctx, order, base, e, X, logs), 1)
-        for c, base, e in f.terms))
+    q = ctx.q
+    terms = _x_terms(f) if isinstance(f, SparsePoly) else f.terms
+    values, runs, lo = np.empty(q, dtype=np.int32), {}, 0
+    while lo < q:                       # not range(): a one-slice field pays for no range per call
+        hi = lo + KERNEL_BLOCK          # past q in the last slice, where slicing stops at q
+        if P is None:
+            logs = L[lo:hi]
+            X = np.arange(lo, lo + len(logs), dtype=np.int32)
+        else:
+            X, logs = P[lo:hi], None
+        _sum_terms(ctx, order, terms, X, logs, lo, runs, values[lo:hi])
+        lo = hi
+    return values
 
 
 def reduce_mod_field(ctx, f):

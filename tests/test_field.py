@@ -15,6 +15,8 @@ from permupoly.field import (_code_of, _digits_of, _generator_powers,
                              _trim, _wrap)
 from permupoly.poly import X_TERMS
 
+from conftest import SLICED_FIELDS
+
 
 def brute_is_irreducible(f, p):
     """Trial-division oracle, independent of the library's gcd-based test."""
@@ -504,17 +506,6 @@ def test_vector_kernel_results_are_fresh(p, n):
     assert np.array_equal(ctx._P, P_before) and not ctx._P.flags.writeable
 
 
-# GF(2^17) is two full KERNEL_BLOCK slices, GF(5^7) one and a short one,
-# and GF(3^11) three, the last short
-SLICED_FIELDS = {(2, 17): 2, (5, 7): 2, (3, 11): 3}
-
-
-@pytest.fixture(scope="module", params=list(SLICED_FIELDS),
-                ids=lambda pn: f"{pn[0]}^{pn[1]}")
-def sliced_field(request):
-    return build_field(*request.param)
-
-
 def slice_starts(ctx):
     """The first position of every KERNEL_BLOCK slice after the first."""
     assert field.KERNEL_BLOCK == 1 << 16
@@ -597,16 +588,23 @@ def test_add_vec_across_slice_boundaries(sliced_field):
 
 def test_monomial_vec_across_slice_boundaries(sliced_field):
     """Canonical-order c * x^e against one whole-array gather of the exp
-    table: position i + 1 holds c * g^(i e)."""
+    table: position i + 1 holds c * g^(i e).  Whole, and slice by slice
+    from each slice on, with one runs dict: the first slice builds the
+    progression at its position, and each later one moves it on in place."""
     ctx = sliced_field
     q, qm1 = ctx.q, ctx.q - 1
-    slice_starts(ctx)
-    for e in (2, 3, q - 2, q + 3):
+    bounds = list(zip([0] + slice_starts(ctx), slice_starts(ctx) + [q]))
+    for e in (1, 2, 3, q - 2, q + 3):
         for c in (1, ctx.gen_pow(5)):
             want = np.zeros(q, dtype=np.int64)
             want[1:] = ctx._E[(ctx.log(c) + np.arange(qm1) * e) % qm1]
             got = ctx.monomial_vec(c, e)
             assert got.dtype == np.int32 and np.array_equal(got, want), (e, c)
+            for start in range(len(bounds)):
+                runs = {}
+                got = np.concatenate([ctx.monomial_vec(c, e, None, lo, hi, runs)
+                                      for lo, hi in bounds[start:]])
+                assert np.array_equal(got, want[bounds[start][0]:]), (e, c, start)
 
 
 # (ADD_TABLE_BOUND or None for the default, p, n, group base, groups):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -307,41 +308,58 @@ def code_order_monomial(ctx, c, e):
     return out
 
 
-# Both fields are above KERNEL_BLOCK, so each kernel a check calls runs in
-# two or three slices.  3 divides neither q - 1, so the monomials that do
-# not permute have gcd(e, q - 1) = 2, or 4 over GF(5^7).
-@pytest.fixture(scope="module", params=[(5, 7), (3, 11)],
-                ids=lambda pn: f"{pn[0]}^{pn[1]}")
-def sliced_field(request):
-    return build_field(*request.param)
+def code_order_power(ctx, c, T, e):
+    """c * T^e (e != 0) from the values T at every code, by one gather of
+    the exp table at the logs: 0^e = 0."""
+    E, L = ctx._E.astype(np.int64), ctx._L.astype(np.int64)
+    T = np.asarray(T, dtype=np.int64)
+    out = E[(L[c] + L[T] * e) % (ctx.q - 1)]
+    out[T == 0] = 0
+    return out
 
 
 def test_checks_across_kernel_slices(sliced_field):
     """is_permutation and is_complete_permutation against code-order values
-    formed by log gathers and digit_add, with the dict walk witness: the
-    P4 forms x^r (x^(p-1) + a) for both r and a on each side of the norm
-    clause, and monomials.  A P4 form permutes iff gcd(r, p - 1) = 1 and
-    norm(a) != (-1)^n; the larger r is even over both fields."""
+    formed by log gathers and digit_add, with the dict walk witness, over
+    fields of two or three KERNEL_BLOCK slices.  Composite powers on every
+    field: (x + a)^e and c * (x + a)^-e permute for gcd(e, q - 1) = 1, and
+    (x^2 + x + a)^e + b does not, since x^2 + x is 2-to-1.  In odd
+    characteristic also the P4 forms x^r (x^(p-1) + a) for both r and a on
+    each side of the norm clause: a P4 form permutes iff gcd(r, p - 1) = 1
+    and norm(a) != (-1)^n, and the larger r is even over both fields.  And
+    monomials: 3 divides no q - 1 here, so the ones that do not permute
+    have gcd(e, q - 1) = 2, or 4 over GF(5^7); 2^17 - 1 is prime."""
     ctx = sliced_field
     p, n, q = ctx.p, ctx.n, ctx.q
     assert q > field.KERNEL_BLOCK
-    norm_exp, minus_one_n = (q - 1) // (p - 1), ctx.pow(ctx.neg(1), n)
-    cases = []
-    for r in (1, sum(p ** i for i in range(2, n)) + 1):
-        for k in (4, 5, 6, 7):
-            a = ctx.gen_pow(k)
-            values = digit_add(ctx, code_order_monomial(ctx, 1, r + p - 1),
-                               code_order_monomial(ctx, a, r))
-            cases.append((f"x^{r + p - 1} + g^{k}*x^{r}", values,
-                          math.gcd(r, p - 1) == 1
-                          and ctx.pow(a, norm_exp) != minus_one_n))
-    assert {pp for _, _, pp in cases[:4]} == {True, False}    # r = 1
+    X = np.arange(q)
+    e = next(e for e in range(3, q) if math.gcd(e, q - 1) == 1)
+    shifted = digit_add(ctx, X, np.full(q, ctx.gen_pow(5)))
+    quadratic = digit_add(ctx, code_order_monomial(ctx, 1, 2), shifted)
+    cases = [
+        (f"(x + g^5)^{e}", code_order_power(ctx, 1, shifted, e), True),
+        (f"g^7*(x + g^5)^-{e}", code_order_power(ctx, ctx.gen_pow(7), shifted, -e), True),
+        (f"(x^2 + x + g^5)^{e} + g^9",
+         digit_add(ctx, code_order_power(ctx, 1, quadratic, e), np.full(q, ctx.gen_pow(9))),
+         False)]
+    if p != 2:
+        norm_exp, minus_one_n = (q - 1) // (p - 1), ctx.pow(ctx.neg(1), n)
+        p4 = []
+        for r in (1, sum(p ** i for i in range(2, n)) + 1):
+            for k in (4, 5, 6, 7):
+                a = ctx.gen_pow(k)
+                values = digit_add(ctx, code_order_monomial(ctx, 1, r + p - 1),
+                                   code_order_monomial(ctx, a, r))
+                p4.append((f"x^{r + p - 1} + g^{k}*x^{r}", values,
+                           math.gcd(r, p - 1) == 1
+                           and ctx.pow(a, norm_exp) != minus_one_n))
+        assert {pp for _, _, pp in p4[:4]} == {True, False}    # r = 1
+        cases += p4
     for g in (1, 2, 4):
         if (q - 1) % g == 0:
             e = next(e for e in range(3 * g, q, g) if math.gcd(e, q - 1) == g)
             cases.append((f"x^{e}", code_order_monomial(ctx, 1, e), g == 1))
     assert {pp for _, _, pp in cases} == {True, False}
-    X = np.arange(q)
     for text, values, pp in cases:
         f = parse_poly(ctx, text)
         witness = dict_walk_witness(ctx, values.tolist())
@@ -351,6 +369,30 @@ def test_checks_across_kernel_slices(sliced_field):
         assert rep.image_size == len(np.unique(values)), text
         complete = pp and len(np.unique(digit_add(ctx, values, X))) == q
         assert is_complete_permutation(ctx, f) == replace(rep, complete=complete), text
+
+
+@pytest.mark.parametrize("p,n,texts", [
+    (2, 20, ("(x^2 + x + g^5)^524032 + g^4097*x", "x^7", "x^3")),
+    (3, 13, ("(x^2 + g*x + g^5)^4 + g^3*x", "x^5", "x^2"))], ids=["2^20", "3^13"])
+def test_check_peak_memory(p, n, texts):
+    """A check's traced allocations peak at 10 bytes per element at most:
+    the int32 values, the bool image, then the sorted copy or the witness
+    search's first-position array, and slice-sized temporaries besides.
+    The cases are a composite power, a permutation, and a monomial whose
+    witness lies past the dict walk."""
+    ctx = build_field(p, n)
+    for text, pp in zip(texts, (False, True, False)):
+        f = parse_poly(ctx, text)
+        tracemalloc.start()
+        try:
+            rep = is_permutation(ctx, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.permutation == pp, text
+        if text == texts[2]:
+            assert ctx.elements_in_order().index(rep.witness[1]) > perm.WITNESS_CHUNK + 1
+        assert peak <= 10 * ctx.q, (text, peak / ctx.q)
 
 
 @pytest.mark.parametrize("p,n,text", [
@@ -376,6 +418,18 @@ def test_full_scatter_trips_the_sorted_values(monkeypatch, gf256):
     with pytest.raises(AssertionError,
                        match="^sorted values and image scatter disagree$"):
         is_permutation(gf256, f)
+
+
+def test_sorted_values_compare_across_slices(monkeypatch, sliced_field):
+    # one repeat, straddling the first slice boundary of the sorted values,
+    # behind a scatter that claims a full image
+    ctx, block = sliced_field, field.KERNEL_BLOCK
+    values = np.arange(ctx.q, dtype=np.int32)
+    values[block] = block - 1
+    monkeypatch.setattr(perm, "np", numpy_with(zeros=np.ones))
+    with pytest.raises(AssertionError,
+                       match="^sorted values and image scatter disagree$"):
+        perm._report(ctx, parse_poly(ctx, "x"), values[::-1].copy())
 
 
 def test_sorted_values_trip_the_scatter(monkeypatch, gf256):

@@ -10,6 +10,7 @@ from permupoly import (CompositePoly, PolyParseError, SparsePoly, build_field,
                        evaluate, evaluate_all, parse_poly, reduce_mod_field,
                        to_text)
 from permupoly import poly
+from permupoly.field import KERNEL_BLOCK
 from permupoly.poly import MAX_EXPONENT, X_TERMS, load_poly_file
 
 
@@ -281,6 +282,33 @@ def test_power_memo_stores_nothing_at_2_20():
         for a in (0, 1, int(ctx._E[12345])):
             position = a if order == "code" else (0 if a == 0 else int(ctx._L[a]) + 1)
             assert int(values[position]) == evaluate(ctx, f, a)
+    assert ctx._powers == {}
+
+
+def test_evaluate_all_across_slice_boundaries(sliced_field):
+    """Both orders against scalar evaluate at every KERNEL_BLOCK slice
+    boundary +-2, both ends, and 500 seeded positions: composite powers with
+    outer e < 0, e = 0 and c != 1, one of them sharing x^2 with its base,
+    a SparsePoly, and monomials with e in {0, 1, -1, q - 1, generic}.
+    Nothing is stored in the power memo, since no slice is the field."""
+    ctx = sliced_field
+    q, block = ctx.q, KERNEL_BLOCK
+    rng = random.Random(f"slices:{q}")
+    positions = sorted({i for lo in range(block, q, block) for i in range(lo - 2, lo + 3)}
+                       | {0, 1, 2, q - 2, q - 1} | set(rng.sample(range(q), 500)))
+    canonical = [0 if i == 0 else ctx.gen_pow(i - 1) for i in positions]
+    generic = rng.randrange(2, q - 1)
+    fs = [parse_poly(ctx, text) for text in (
+        "g^3*(x^2 + g^5*x + g^7)^-5 + (x + g)^0 + g^11*(x^3 + 1)^1234 + x",
+        "(x^2 + x + g^5)^3 + x^2 + g^4*x^2",
+        "g^4*x^0", "x", "g^2*x", "g^6*x^-1", f"x^{q - 1}", f"g^9*x^{generic} + g^8")]
+    fs.append(SparsePoly.make(ctx, [(5, ctx.gen_pow(2)), (1, 1), (0, ctx.gen_pow(9))]))
+    for f in fs:
+        for order, points in (("code", positions), ("canonical", canonical)):
+            got = evaluate_all(ctx, f, order)
+            assert got.dtype == np.int32 and got.flags.writeable
+            assert got[positions].tolist() == [evaluate(ctx, f, a) for a in points], \
+                (order, to_text(ctx, f))
     assert ctx._powers == {}
 
 
