@@ -17,10 +17,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .field import _prime_factors, build_field, check_order
-from .poly import X_TERMS, CompositePoly, SparsePoly, evaluate, evaluate_all
+from .poly import _X, CompositePoly, SparsePoly, evaluate, evaluate_all
 
 ENUMERATION_GUARD = 1 << 26
 
@@ -204,9 +202,6 @@ def _elements(fp, elems):
 
 def _nonzero(fp, elems):
     return elems[1:]
-
-
-_X = SparsePoly(X_TERMS)
 
 
 def _inner(*pairs):
@@ -466,7 +461,9 @@ def enumerate_params(family, field_params, filt="satisfying", ctx=None,
 # ---------------------------------------------------------------------------
 
 def _brute_preimages(ctx, poly, d):
-    return np.flatnonzero(evaluate_all(ctx, poly) == d).tolist()
+    """The elements poly maps to d, ascending, by exhaustive evaluation:
+    the canonical points at the positions whose value is d."""
+    return sorted(ctx._P[evaluate_all(ctx, poly) == d].tolist())
 
 
 def _p1_identity(ctx, params, poly, d):
@@ -516,20 +513,17 @@ def _p3_identity(ctx, params, poly, d):
         (1, ctx.frobenius(bprime, m)),
         (0, b_exp),
     ])
-    cubic_vals = evaluate_all(ctx, cubic)
-    roots = set(np.flatnonzero(cubic_vals == 0).tolist())
     double_root = ctx.pow(bprime, 1 << (m - 1))
     third_root = ctx.mul(b_exp, bprime)
-    roots_named = roots <= {double_root, third_root}
-    both_are_roots = (int(cubic_vals[double_root]) == 0
-                      and int(cubic_vals[third_root]) == 0)
+    # the cubic's roots are exactly the two named ones
+    roots_named = set(_brute_preimages(ctx, cubic, 0)) == {double_root, third_root}
     # double root: lambda^4 would equal bprime^(2^m) = 1/bprime, the
     # excluded case where the subfield coefficient vanishes
     excluded_case = ctx.pow(double_root, 2) == ctx.inv(bprime)
     # third root: 1 + bprime*lambda^4 = 0, forcing b*lambda = 0
     forces_zero = ctx.add(1, ctx.mul(bprime, ctx.pow(third_root, 2))) == 0
     kernel = _brute_preimages(ctx, poly, 0)
-    return (roots_named and both_are_roots and excluded_case
+    return (roots_named and excluded_case
             and forces_zero and kernel == [0])
 
 
@@ -567,9 +561,7 @@ def proof_identity_check(family, params, d=None):
 
 def kernel_is_trivial(ctx, poly):
     """PP criterion for additive polynomials: only 0 maps to 0."""
-    values = evaluate_all(ctx, poly)
-    zeros = np.count_nonzero(np.asarray(values) == 0)
-    return zeros == 1 and int(values[0]) == 0
+    return _brute_preimages(ctx, poly, 0) == [0]
 
 
 def _b_delta_family(field, l_exp, h_exp, delta_clauses, b_clauses,

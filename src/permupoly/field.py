@@ -579,52 +579,44 @@ class FieldCtx:
         out[A == 0] = 0
         return out
 
-    def monomial_vec(self, c, e, logs=None, lo=0, hi=None, runs=None):
-        """c * x^e (c != 0, e != 0) at positions lo..hi of an evaluation
-        order (every position by default), element 0 at position 0.
+    def monomial_vec(self, c, e, lo, hi, runs):
+        """c * x^e (c != 0, e != 0) at positions lo..hi of canonical order,
+        where position 0 holds element 0 and position i + 1 holds g^i.
 
-        logs holds the points' discrete logs (L, or its slice lo..hi, in
-        code order); None means canonical order, where position i + 1 holds
-        g^i.  The result is a gather of the exp table at log c + e * log x:
-        for canonical order a rotation for e = 1, and otherwise an
-        arithmetic progression of indices.  runs, a dict that the slices of
-        one evaluation share, keeps each progression with the position it
-        starts at; a later slice moves it on in place, so only the first
-        slice builds it.
+        The result is a gather of the exp table at log c + e * log x: a
+        rotation for e = 1, and otherwise an arithmetic progression of
+        indices.  runs, a dict that the slices of one evaluation share,
+        keeps each progression with the position it starts at; a later
+        slice moves it on in place, so only the first slice builds it.
         """
         qm1 = self._qm1
         k, e = self._log[c], e % qm1    # the log read raises for a field without tables
         E = self._E
-        if logs is not None:
-            out = E[(np.multiply(logs, e, dtype=np.int64) + k) % qm1]
+        count = hi - lo
+        if e == 0:                      # x^(q-1) = 1 for x != 0
+            out = np.full(count, E[k])
+        elif e == 1:                    # position i holds g^(k + i - 1)
+            start = (k - 1 + lo) % qm1
+            head = min(count, qm1 - start)
+            out = np.empty(count, dtype=np.int32)
+            out[:head] = E[start:start + head]
+            out[head:] = E[:count - head]
         else:
-            count = (self.q if hi is None else hi) - lo
-            if e == 0:                  # x^(q-1) = 1 for x != 0
-                out = np.full(count, E[k])
-            elif e == 1:                # position i holds g^(k + i - 1)
-                start = (k - 1 + lo) % qm1
-                head = min(count, qm1 - start)
-                out = np.empty(count, dtype=np.int32)
-                out[:head] = E[start:start + head]
-                out[head:] = E[:count - head]
-            else:
-                out = E.take(self._progression_run(k, e, lo, count, runs))
+            out = E.take(self._progression_run(k, e, lo, count, runs))
         if lo == 0:
             out[0] = 0
         return out
 
     def _progression_run(self, k, e, lo, count, runs):
         """(k + e * (i - 1)) mod q-1 for the count positions i from lo, as an
-        int64 array, kept in runs under (k, e) when runs is a dict.  A kept
-        run is moved on from its position to lo by one add and one wrap, in
-        place; slices come in ascending order, so it is never shorter than
-        count."""
+        int64 array, kept in runs under (k, e).  A kept run is moved on from
+        its position to lo by one add and one wrap, in place; slices come in
+        ascending order, so it is never shorter than count."""
         qm1 = self._qm1
-        run = None if runs is None else runs.get((k, e))
+        run = runs.get((k, e))
         if run is None:
             idx = _progression((k + e * (lo - 1)) % qm1, e, count, qm1)
-            if runs is not None:
-                runs[k, e] = [lo, idx]
+            runs[k, e] = [lo, idx]
             return idx
         at, idx = run
         if at != lo:

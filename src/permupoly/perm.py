@@ -143,7 +143,7 @@ def _report(ctx, f, values):
 
 def is_permutation(ctx, f):
     """Exhaustive permutation check with a verified collision witness."""
-    return _report(ctx, f, evaluate_all(ctx, f, "canonical"))
+    return _report(ctx, f, evaluate_all(ctx, f))
 
 
 def is_complete_permutation(ctx, f):
@@ -153,7 +153,7 @@ def is_complete_permutation(ctx, f):
     canonical order (0, then the exp table) become the values of f + x, in
     place, so one value array serves both reports.
     """
-    values = evaluate_all(ctx, f, "canonical")
+    values = evaluate_all(ctx, f)
     rep = _report(ctx, f, values)
     rep_shift = _report(ctx, f.plus_x(), ctx.add_vec(values, ctx._P, values))
     return replace(rep, complete=rep.permutation and rep_shift.permutation)

@@ -56,6 +56,10 @@ class SparsePoly:
         return self.terms == X_TERMS
 
 
+# the inner polynomial x, shared by every term on x alone
+_X = SparsePoly(X_TERMS)
+
+
 @dataclass(frozen=True)
 class CompositePoly:
     """Terms (coeff, base SparsePoly, outer exponent); outer exponents may
@@ -70,22 +74,18 @@ class CompositePoly:
     @staticmethod
     def monomials(ctx, pairs):
         """Composite form of a plain monomial sum c*x^e."""
-        x = SparsePoly(X_TERMS)
         merged = {}
         for e, c in pairs:
             merged[e] = ctx.add(merged.get(e, 0), c)
-        return CompositePoly.make((c, x, e) for e, c in sorted(merged.items()))
+        return CompositePoly.make((c, _X, e) for e, c in sorted(merged.items()))
 
     @staticmethod
     def identity():
-        return CompositePoly(((1, SparsePoly(X_TERMS), 1),))
+        return CompositePoly(((1, _X, 1),))
 
     def plus_x(self):
         """f(x) + x, used by the complete-permutation check."""
-        return CompositePoly(self.terms + ((1, SparsePoly(X_TERMS), 1),))
-
-
-_X = SparsePoly(X_TERMS)
+        return CompositePoly(self.terms + ((1, _X, 1),))
 
 
 def eval_sparse(ctx, sp, x):
@@ -132,16 +132,16 @@ def evaluate(ctx, f, x):
     return acc
 
 
-def _sum_terms(ctx, order, terms, X, logs, lo, runs, out):
+def _sum_terms(ctx, terms, X, lo, runs, out):
     """Sum of the (c, base, e) terms c * base(x)^e at the points X, which
-    sit at positions lo.. of the given order and whose logs are logs (see
-    FieldCtx.monomial_vec, which keeps its progressions in runs), written
-    into the int32 array out and returned.  Every add writes into out, and
-    a sum of one term is copied there.  A term calls only the kernels it
-    needs: e = 0 is the constant c (0^0 = 1), and the constants fold into
-    one scalar added last; c * x^e is one monomial_vec gather and x itself
-    is X, while a composite base is raised through the memo (_base_power)
-    and skips the scale for c = 1."""
+    sit at positions lo.. of canonical order (see FieldCtx.monomial_vec,
+    which keeps its progressions in runs), written into the int32 array
+    out and returned.  Every add writes into out, and a sum of one term is
+    copied there.  A term calls only the kernels it needs: e = 0 is the
+    constant c (0^0 = 1), and the constants fold into one scalar added
+    last; c * x^e is one monomial_vec gather and x itself is X, while a
+    composite base is raised through the memo (_base_power) and skips the
+    scale for c = 1."""
     acc, const = None, 0
     for c, base, e in terms:
         if c == 0:
@@ -150,9 +150,9 @@ def _sum_terms(ctx, order, terms, X, logs, lo, runs, out):
             const = ctx.add(const, c)
             continue
         if base.terms == X_TERMS:
-            v = X if c == 1 and e == 1 else ctx.monomial_vec(c, e, logs, lo, lo + len(X), runs)
+            v = X if c == 1 and e == 1 else ctx.monomial_vec(c, e, lo, lo + len(X), runs)
         else:
-            v = _base_power(ctx, order, base, e, X, logs, lo, runs)
+            v = _base_power(ctx, base, e, X, lo, runs)
             if c != 1:
                 v = ctx.scale_vec(c, v)
         acc = v if acc is None else ctx.add_vec(acc, v, out)
@@ -170,25 +170,18 @@ def _x_terms(sp):
     return tuple((c, _X, e) for e, c in sp.terms)
 
 
-def eval_sparse_all(ctx, sp, X, logs, lo, runs):
-    """sp at the points X, as a new array; its terms are on x alone, so no
-    order is needed."""
-    return _sum_terms(ctx, None, _x_terms(sp), X, logs, lo, runs,
-                      np.empty(len(X), dtype=np.int32))
-
-
-def _base_power(ctx, order, base, e, X, logs, lo, runs):
+def _base_power(ctx, base, e, X, lo, runs):
     """T^e for a composite base T = base(x) and e != 0, at the points X of
-    one slice of the given order, from the field's memo.  A miss is
-    evaluated, and stored read-only when it covers the whole field and the
-    memo stays within POWER_MEMO_BYTES; every entry holds q codes, so the
-    slices of a larger field are never stored.  Scans cycle through their
-    bases, so store-until-full keeps hitting where LRU eviction would miss
-    every time."""
-    memo, key = ctx._powers, (order, base.terms, e)
+    one canonical slice, from the field's memo.  A miss is evaluated, and
+    stored read-only when it covers the whole field and the memo stays
+    within POWER_MEMO_BYTES; every entry holds q codes, so the slices of a
+    larger field are never stored.  Scans cycle through their bases, so
+    store-until-full keeps hitting where LRU eviction would miss every
+    time."""
+    memo, key = ctx._powers, (base.terms, e)
     v = memo.get(key)
     if v is None:
-        T = eval_sparse_all(ctx, base, X, logs, lo, runs)
+        T = _sum_terms(ctx, _x_terms(base), X, lo, runs, np.empty(len(X), dtype=np.int32))
         v = T if e == 1 else ctx.pow_vec(T, e)
         if len(v) == ctx.q and (len(memo) + 1) * v.nbytes <= POWER_MEMO_BYTES:
             v.flags.writeable = False
@@ -196,35 +189,24 @@ def _base_power(ctx, order, base, e, X, logs, lo, runs):
     return v
 
 
-def evaluate_all(ctx, f, order="code"):
-    """Values of f on every field element, as an array in the given order:
-    "code" indexes by element code; "canonical" puts f(0) at position 0 and
-    f(g^i) at position i + 1.  The result is a fresh writable int32 array,
-    filled one KERNEL_BLOCK slice at a time, so every other array the
-    evaluation makes is the size of a slice.
+def evaluate_all(ctx, f):
+    """Values of f on every field element in canonical order: f(0) at
+    position 0 and f(g^i) at position i + 1, so f(a) is at log(a) + 1 for
+    a != 0.  The result is a fresh writable int32 array, filled one
+    KERNEL_BLOCK slice at a time, so every other array the evaluation
+    makes is the size of a slice.
 
     Needs log tables; without them it raises before any work, even for f = x.
     """
-    L = ctx._L
-    if L is None:
+    P = ctx._P
+    if P is None:
         ctx._tables()                   # raises: the field has no log tables
-    if order == "code":
-        P = None
-    elif order == "canonical":
-        P = ctx._P
-    else:
-        raise ValueError(f"unknown evaluation order {order!r}")
     q = ctx.q
     terms = _x_terms(f) if isinstance(f, SparsePoly) else f.terms
     values, runs, lo = np.empty(q, dtype=np.int32), {}, 0
     while lo < q:                       # not range(): a one-slice field pays for no range per call
         hi = lo + KERNEL_BLOCK          # past q in the last slice, where slicing stops at q
-        if P is None:
-            logs = L[lo:hi]
-            X = np.arange(lo, lo + len(logs), dtype=np.int32)
-        else:
-            X, logs = P[lo:hi], None
-        _sum_terms(ctx, order, terms, X, logs, lo, runs, values[lo:hi])
+        _sum_terms(ctx, terms, P[lo:hi], lo, runs, values[lo:hi])
         lo = hi
     return values
 
@@ -241,7 +223,7 @@ def reduce_mod_field(ctx, f):
         raise ValueError(
             f"reduce_mod_field is limited to q <= {REDUCE_FIELD_BOUND} "
             f"(got q={q}); use pointwise evaluation instead")
-    values = evaluate_all(ctx, f, "canonical")
+    values = evaluate_all(ctx, f)
     pairs = []
     if values[0] != 0:
         pairs.append((0, int(values[0])))
@@ -347,7 +329,7 @@ def _parse_term(cur, ctx, inner):
     nxt = cur.peek()
     if nxt == "x":
         cur.take()
-        base = SparsePoly(X_TERMS)
+        base = _X
     elif nxt == "(" and not inner:
         cur.take()
         base = SparsePoly.make(ctx, ((e, c) for c, _, e in _parse_sum(cur, ctx, inner=True)))
@@ -355,7 +337,7 @@ def _parse_term(cur, ctx, inner):
             cur.error("expected ')'")
         cur.take()
     elif coeff is not None:
-        return coeff, SparsePoly(X_TERMS), 0
+        return coeff, _X, 0
     else:
         cur.error("nested composite bases are not supported" if nxt == "("
                   else "expected a term")

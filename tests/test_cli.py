@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def readme_cli_lines():
+    """The permupoly lines of the README's sh block under "## CLI"."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    return [line for line in block.splitlines() if line.startswith("permupoly ")]
+
+
+def test_readme_cli_lines_exit_as_documented(tmp_path, monkeypatch, capsys):
+    """Each permupoly line of the README's CLI block, run through main in a
+    fresh directory, exits 1 where its comment says "exit 1" and 0
+    otherwise."""
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        want = 1 if "exit 1" in line.partition("#")[2] else 0
+        assert main(shlex.split(line, comments=True)[1:]) == want, line
+        capsys.readouterr()
 
 
 def test_check_pp_example1(capsys):

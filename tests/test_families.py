@@ -356,7 +356,9 @@ def test_p3_additive_and_kernel_route(gf256):
     count = 0
     for params in enumerate_params("P3", {"m": 4}, ctx=gf256):
         poly, _ = make_family(params)
-        table = [int(v) for v in evaluate_all(gf256, poly)]
+        values = evaluate_all(gf256, poly).tolist()
+        # by code: g(a) sits at position log(a) + 1, and g(0) at position 0
+        table = [values[int(gf256._L[a]) + 1 if a else 0] for a in range(256)]
         # additivity: g(x + y) = g(x) + g(y); field addition is xor here
         for x in (1, 7, 100, 255):
             for y in range(256):

@@ -447,7 +447,7 @@ def test_monomial_vec_above_progression_head(mid_field):
     assert q > field.PROGRESSION_HEAD
     for e in (2, 3, q - 2, q + 3):
         for c in (1, ctx.gen_pow(5)):
-            assert ctx.monomial_vec(c, e).tolist() == \
+            assert ctx.monomial_vec(c, e, 0, q, {}).tolist() == \
                 [ctx.mul(c, ctx.pow(x, e)) for x in points], (e, c)
 
 
@@ -473,7 +473,7 @@ def test_vector_kernels_match_scalar_ops(mid_field):
         assert ctx.add_vec(A, k).tolist() == want and ctx.add_vec(k, A).tolist() == want
         assert ctx.scale_vec(k, A).tolist() == [ctx.mul(k, x) for x in a]
     P = ctx._P.copy()
-    values = ctx.monomial_vec(ctx.gen_pow(3), 3)
+    values = ctx.monomial_vec(ctx.gen_pow(3), 3, 0, ctx.q, {})
     points = ctx.elements_in_order()
     assert ctx.add_vec(values, ctx._P).tolist() == \
         [ctx.add(int(v), x) for v, x in zip(values, points)]
@@ -487,7 +487,7 @@ def test_vector_kernel_results_are_fresh(p, n):
     with its operands or the tables, for each of its cases, and leaves its
     operands and the read-only points array as they were."""
     ctx = build_field(p, n)
-    A, B, c = ctx.monomial_vec(1, 3), ctx._P, ctx.gen_pow(2)
+    A, B, c = ctx.monomial_vec(1, 3, 0, ctx.q, {}), ctx._P, ctx.gen_pow(2)
     A_before, P_before = A.copy(), ctx._P.copy()
     results = {
         "add_vec": ctx.add_vec(A, B), "add_vec scalar": ctx.add_vec(A, c),
@@ -497,7 +497,7 @@ def test_vector_kernel_results_are_fresh(p, n):
     for k in (0, 1, c):
         results[f"scale_vec {k}"] = ctx.scale_vec(k, A)
     for e in (1, 2, ctx.q - 1):
-        results[f"monomial_vec {e}"] = ctx.monomial_vec(c, e)
+        results[f"monomial_vec {e}"] = ctx.monomial_vec(c, e, 0, ctx.q, {})
     shared = [x for x in (A, ctx._P, ctx._L, ctx._T) if x is not None]
     for name, out in results.items():
         assert out.dtype == np.int32 and out.flags.writeable, name
@@ -598,11 +598,11 @@ def test_monomial_vec_across_slice_boundaries(sliced_field):
         for c in (1, ctx.gen_pow(5)):
             want = np.zeros(q, dtype=np.int64)
             want[1:] = ctx._E[(ctx.log(c) + np.arange(qm1) * e) % qm1]
-            got = ctx.monomial_vec(c, e)
+            got = ctx.monomial_vec(c, e, 0, q, {})
             assert got.dtype == np.int32 and np.array_equal(got, want), (e, c)
             for start in range(len(bounds)):
                 runs = {}
-                got = np.concatenate([ctx.monomial_vec(c, e, None, lo, hi, runs)
+                got = np.concatenate([ctx.monomial_vec(c, e, lo, hi, runs)
                                       for lo, hi in bounds[start:]])
                 assert np.array_equal(got, want[bounds[start][0]:]), (e, c, start)
 
@@ -684,7 +684,7 @@ def test_kernels_return_int32_for_any_integer_operands(p, n):
     """Each kernel gives the same int32 array for int64, uint16 and int32
     operands, at either characteristic."""
     ctx = build_field(p, n)
-    A32, B32, c = ctx.monomial_vec(1, 3), ctx._P.copy(), ctx.gen_pow(2)
+    A32, B32, c = ctx.monomial_vec(1, 3, 0, ctx.q, {}), ctx._P.copy(), ctx.gen_pow(2)
 
     def kernels(A, B):
         return {"add_vec": ctx.add_vec(A, B), "add_vec scalar": ctx.add_vec(A, c),
@@ -759,7 +759,7 @@ def test_tables_are_read_only_int32(wide_product_field):
 
 
 def test_kernels_past_int32_log_products(wide_product_field):
-    """pow_vec, monomial_vec in both orders, scale_vec, mul_vec, add_vec and
+    """pow_vec, monomial_vec, evaluate_all, scale_vec, mul_vec, add_vec and
     _progression on 4,096 sampled points against the scalar evaluate and
     ctx.pow, at exponents whose products with the logs pass 2^31."""
     ctx, rng = wide_product_field, random.Random(f"wide:{wide_product_field.q}")
@@ -775,10 +775,8 @@ def test_kernels_past_int32_log_products(wide_product_field):
         powers = [ctx.pow(a, e) for a in points]
         results = {
             "pow_vec": (ctx.pow_vec(A, e), powers),
-            "monomial_vec code": (ctx.monomial_vec(c, e, ctx._L)[points], want),
-            "monomial_vec canonical": (ctx.monomial_vec(c, e)[positions], want),
-            "evaluate_all code": (evaluate_all(ctx, f, "code")[points], want),
-            "evaluate_all canonical": (evaluate_all(ctx, f, "canonical")[positions], want),
+            "monomial_vec": (ctx.monomial_vec(c, e, 0, q, {})[positions], want),
+            "evaluate_all": (evaluate_all(ctx, f)[positions], want),
         }
         P = results["pow_vec"][0]
         results["scale_vec"] = (ctx.scale_vec(c, P), [ctx.mul(c, x) for x in powers])

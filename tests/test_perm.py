@@ -132,10 +132,10 @@ def test_perm_guard():
 
 
 def dict_walk_witness(ctx, values):
-    """Reference witness walk: one dict pass over elements_in_order()."""
+    """Reference witness walk: one dict pass over elements_in_order(), the
+    element at position i taking the canonical-order value values[i]."""
     seen = {}
-    for x in ctx.elements_in_order():
-        v = int(values[x])
+    for x, v in zip(ctx.elements_in_order(), map(int, values)):
         if v in seen:
             return (seen[v], x)
         seen[v] = x
@@ -212,7 +212,8 @@ def test_image_size_and_witness_bound_match_the_scalar_evaluator(p, n):
         values = scalar_values(ctx, f)
         rep = is_permutation(ctx, f)
         assert rep.image_size == len(set(values)), to_text(ctx, f)
-        assert rep.witness == dict_walk_witness(ctx, values), to_text(ctx, f)
+        assert rep.witness == dict_walk_witness(ctx, [values[x] for x in order]), \
+            to_text(ctx, f)
         if rep.witness is not None:
             witnesses += 1
             position = order.index(rep.witness[1])
@@ -283,7 +284,7 @@ def test_witness_search_chunk_boundaries(monkeypatch, p, n, chunk):
     limits = [len(set(scalar_values(ctx, f))) + 1 for f in fs]
     monkeypatch.setattr(perm, "WITNESS_CHUNK", chunk)
     for f, limit in zip(fs, limits):
-        assert perm._first_collision(ctx, evaluate_all(ctx, f, "canonical"), limit) == \
+        assert perm._first_collision(ctx, evaluate_all(ctx, f), limit) == \
             dict_walk_witness(ctx, evaluate_all(ctx, f))
     assert is_permutation(ctx, fs[-1]).witness == (0, ctx.gen_pow(10))
 
@@ -362,7 +363,7 @@ def test_checks_across_kernel_slices(sliced_field):
     assert {pp for _, _, pp in cases} == {True, False}
     for text, values, pp in cases:
         f = parse_poly(ctx, text)
-        witness = dict_walk_witness(ctx, values.tolist())
+        witness = dict_walk_witness(ctx, values[ctx._P])
         rep = is_permutation(ctx, f)
         assert rep.permutation == (witness is None) == pp, text
         assert rep.witness == witness, text
@@ -458,7 +459,7 @@ def _negative_code(values):
 
 
 def test_negative_code_trips_the_sorted_values(gf16):
-    values = _negative_code(evaluate_all(gf16, parse_poly(gf16, "x^7"), "canonical"))
+    values = _negative_code(evaluate_all(gf16, parse_poly(gf16, "x^7")))
     with pytest.raises(AssertionError,
                        match="^sorted values and image scatter disagree$"):
         perm._report(gf16, parse_poly(gf16, "x^7"), values)
@@ -466,7 +467,7 @@ def test_negative_code_trips_the_sorted_values(gf16):
 
 def test_check_pp_negative_code_is_an_assertion_not_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(perm, "evaluate_all",
-                        lambda ctx, f, order: _negative_code(evaluate_all(ctx, f, order)))
+                        lambda ctx, f: _negative_code(evaluate_all(ctx, f)))
     with pytest.raises(AssertionError,
                        match="^sorted values and image scatter disagree$"):
         main(["check-pp", "--field", "2^4", "--poly", "x^7"])

@@ -76,14 +76,23 @@ def test_inner_base_lands_in_subfield(gf64):
 def test_evaluate_all_matches_scalar(gf64, gf625):
     f1 = parse_poly(gf64, "(x^8 + x + g^3)^57 + g^1*x")
     vals = evaluate_all(gf64, f1)
-    for a in range(64):
-        assert int(vals[a]) == evaluate(gf64, f1, a)
+    for i, a in enumerate(gf64.elements_in_order()):
+        assert int(vals[i]) == evaluate(gf64, f1, a)
     f2 = parse_poly(gf625, "x^155 + g^7*x^151")
     vals2 = evaluate_all(gf625, f2)
-    for a in range(625):
-        assert int(vals2[a]) == evaluate(gf625, f2, a)
-    with pytest.raises(ValueError, match="unknown evaluation order 'exp'"):
-        evaluate_all(gf64, f1, "exp")
+    for i, a in enumerate(gf625.elements_in_order()):
+        assert int(vals2[i]) == evaluate(gf625, f2, a)
+
+
+def test_evaluate_all_of_x_is_the_canonical_points(gf256, sliced_field):
+    """evaluate_all has one order: x evaluates to the canonical points 0,
+    g^0, g^1, ..., in one slice or several, and an order argument is
+    refused."""
+    for ctx in (gf256, sliced_field):
+        for x in (CompositePoly.identity(), SparsePoly(X_TERMS)):
+            assert np.array_equal(evaluate_all(ctx, x), ctx._P)
+        with pytest.raises(TypeError):
+            evaluate_all(ctx, CompositePoly.identity(), "code")
 
 
 @pytest.mark.parametrize("p,n", [(2, 6), (5, 4)])
@@ -98,12 +107,11 @@ def test_tables_read_only_and_values_fresh(p, n):
         ctx._exp[0] = 0
     fs = [CompositePoly.identity(), SparsePoly(X_TERMS), parse_poly(ctx, "x + 1"),
           parse_poly(ctx, "g^3")]
-    for order in ("code", "canonical"):
-        for f in fs:
-            values = evaluate_all(ctx, f, order)
-            assert values.flags.writeable
-            assert not any(np.shares_memory(values, t) for t in tables)
-            values[0] = values[1]
+    for f in fs:
+        values = evaluate_all(ctx, f)
+        assert values.flags.writeable
+        assert not any(np.shares_memory(values, t) for t in tables)
+        values[0] = values[1]
 
 
 def test_reduce_fermat(gf16):
@@ -209,31 +217,29 @@ def random_exponent(ctx, rng):
 
 @pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4), (7, 2)])
 def test_evaluate_all_differential(p, n):
-    """evaluate_all in code and in canonical order against scalar evaluate
-    on random composite polynomials covering e in {0, 1, negative, large},
+    """evaluate_all against scalar evaluate on random composite polynomials covering e in {0, 1, negative, large},
     c in {1, other}, and bases that are x, constant, zero, vanishing
     somewhere, or sparse."""
     ctx = build_field(p, n)
     rng = random.Random(f"differential:{p}^{n}")
-    points = {"code": range(ctx.q), "canonical": ctx.elements_in_order()}
+    xs = ctx.elements_in_order()
     for _ in range(40):
         terms = tuple((rng.choice((1, 1, rng.randrange(ctx.q))), random_base(ctx, rng),
                        random_exponent(ctx, rng)) for _ in range(rng.randint(1, 4)))
         f = CompositePoly(terms)
         sp = random_base(ctx, rng)
-        for order, xs in points.items():
-            assert evaluate_all(ctx, f, order).tolist() == \
-                [evaluate(ctx, f, a) for a in xs], (order, to_text(ctx, f))
-            assert evaluate_all(ctx, sp, order).tolist() == [evaluate(ctx, sp, a) for a in xs]
+        assert evaluate_all(ctx, f).tolist() == \
+            [evaluate(ctx, f, a) for a in xs], to_text(ctx, f)
+        assert evaluate_all(ctx, sp).tolist() == [evaluate(ctx, sp, a) for a in xs]
 
 
 @pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4)])
 def test_power_memo_matches_scalar_and_unmemoised(p, n, monkeypatch):
     """Composite terms over three shared bases, with varied c and e (0, 1,
-    negative, multiples of q-1), evaluated interleaved in both orders: each
-    result equals scalar evaluate and the result with the memo bound at 0,
-    writing into a result leaves later ones unchanged, and the memo holds
-    read-only entries within its bound, also when the bound fills."""
+    negative, multiples of q-1), each evaluated twice: each result equals
+    scalar evaluate and the result with the memo bound at 0, writing into a
+    result leaves later ones unchanged, and the memo holds read-only
+    entries within its bound, also when the bound fills."""
     ctx0 = build_field(p, n)
     rng = random.Random(f"memo:{p}^{n}")
     bases = []
@@ -248,24 +254,20 @@ def test_power_memo_matches_scalar_and_unmemoised(p, n, monkeypatch):
         (rng.choice((1, rng.randrange(1, ctx0.q))), rng.choice(bases), rng.choice(exponents))
         for _ in range(rng.randint(1, 3)))) for _ in range(30)]
     canonical = ctx0.elements_in_order()
-    expected = []
-    for f in fs:
-        by_code = [evaluate(ctx0, f, a) for a in range(ctx0.q)]
-        expected.append({"code": by_code, "canonical": [by_code[a] for a in canonical]})
-    keys = {(order, base.terms, e) for f in fs for _, base, e in f.terms if e != 0
-            for order in ("code", "canonical")}
+    expected = [[evaluate(ctx0, f, a) for a in canonical] for f in fs]
+    keys = {(base.terms, e) for f in fs for _, base, e in f.terms if e != 0}
     results = {}
     for bound, stored in ((0, 0), (3 * ctx0.q * 4 + 1, 3),
                           (poly.POWER_MEMO_BYTES, len(keys))):
         monkeypatch.setattr(poly, "POWER_MEMO_BYTES", bound)
         ctx = build_field(p, n)
         for i, f in enumerate(fs):
-            for order in rng.sample(("code", "canonical"), 2):
-                values = evaluate_all(ctx, f, order)
+            for _ in range(2):
+                values = evaluate_all(ctx, f)
                 got = values.tolist()
-                assert got == expected[i][order], (bound, order, to_text(ctx, f))
-                results.setdefault((i, order), got)
-                assert got == results[i, order]
+                assert got == expected[i], (bound, to_text(ctx, f))
+                results.setdefault(i, got)
+                assert got == results[i]
                 values[:] = 0
         assert all(not v.flags.writeable for v in ctx._powers.values())
         assert len(ctx._powers) == stored
@@ -276,17 +278,16 @@ def test_power_memo_stores_nothing_at_2_20():
     ctx = build_field(2, 20)
     assert ctx.q * 8 > poly.POWER_MEMO_BYTES
     f = parse_poly(ctx, "(x^2 + x + g^3)^523776 + g^1025*x")
-    for order in ("code", "canonical"):
-        values = evaluate_all(ctx, f, order)
-        assert values.flags.writeable
-        for a in (0, 1, int(ctx._E[12345])):
-            position = a if order == "code" else (0 if a == 0 else int(ctx._L[a]) + 1)
-            assert int(values[position]) == evaluate(ctx, f, a)
+    values = evaluate_all(ctx, f)
+    assert values.flags.writeable
+    for a in (0, 1, int(ctx._E[12345])):
+        position = 0 if a == 0 else int(ctx._L[a]) + 1
+        assert int(values[position]) == evaluate(ctx, f, a)
     assert ctx._powers == {}
 
 
 def test_evaluate_all_across_slice_boundaries(sliced_field):
-    """Both orders against scalar evaluate at every KERNEL_BLOCK slice
+    """evaluate_all against scalar evaluate at every KERNEL_BLOCK slice
     boundary +-2, both ends, and 500 seeded positions: composite powers with
     outer e < 0, e = 0 and c != 1, one of them sharing x^2 with its base,
     a SparsePoly, and monomials with e in {0, 1, -1, q - 1, generic}.
@@ -304,27 +305,26 @@ def test_evaluate_all_across_slice_boundaries(sliced_field):
         "g^4*x^0", "x", "g^2*x", "g^6*x^-1", f"x^{q - 1}", f"g^9*x^{generic} + g^8")]
     fs.append(SparsePoly.make(ctx, [(5, ctx.gen_pow(2)), (1, 1), (0, ctx.gen_pow(9))]))
     for f in fs:
-        for order, points in (("code", positions), ("canonical", canonical)):
-            got = evaluate_all(ctx, f, order)
-            assert got.dtype == np.int32 and got.flags.writeable
-            assert got[positions].tolist() == [evaluate(ctx, f, a) for a in points], \
-                (order, to_text(ctx, f))
+        got = evaluate_all(ctx, f)
+        assert got.dtype == np.int32 and got.flags.writeable
+        assert got[positions].tolist() == [evaluate(ctx, f, a) for a in canonical], \
+            to_text(ctx, f)
     assert ctx._powers == {}
 
 
 def test_outer_exponent_zero_skips_the_base(monkeypatch):
     ctx = build_field(2, 8)
     calls = []
-    real = poly.eval_sparse_all
+    real = poly._base_power
 
     def counted(*args):
         calls.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(poly, "eval_sparse_all", counted)
+    monkeypatch.setattr(poly, "_base_power", counted)
     f = parse_poly(ctx, "(x^2 + x + g^3)^0 + x")
-    for order, xs in (("code", range(ctx.q)), ("canonical", ctx.elements_in_order())):
-        assert evaluate_all(ctx, f, order).tolist() == [evaluate(ctx, f, a) for a in xs]
+    xs = ctx.elements_in_order()
+    assert evaluate_all(ctx, f).tolist() == [evaluate(ctx, f, a) for a in xs]
     assert calls == [] and ctx._powers == {}
 
 
