@@ -14,7 +14,8 @@ import sys
 from .circle import decompose, solve_quadratic, sqrt_char2
 from .families import (ELEMENT_PARAMS, FAMILIES, FAMILY_IDS, INT_PARAMS,
                        FamilyParams, field_for_family, make_family)
-from .field import build_field, parse_field_descriptor, read_integer, read_modulus
+from .field import (_table_free_field, build_field, parse_field_descriptor, read_integer,
+                    read_modulus)
 from .perm import is_complete_permutation, is_permutation, lemma1_check
 from .poly import SparsePoly, parse_poly, to_text
 from .scan import scan_necessity, scan_sufficiency, write_report
@@ -38,14 +39,15 @@ def _modulus_option(args):
     return read_modulus(args.modulus) if args.modulus is not None else None
 
 
-def _field_from_args(args, tables=True):
+def _field_spec(args):
+    """(p, n, modulus or None) from --field and --modulus."""
     if getattr(args, "field", None):
         p, n, modulus = parse_field_descriptor(args.field)
     else:
         raise ValueError("--field is required")
     if args.modulus is not None:
         modulus = read_modulus(args.modulus)
-    return build_field(p, n, modulus, tables=tables)
+    return p, n, modulus
 
 
 def _write_out(args, payload):
@@ -57,7 +59,7 @@ def _write_out(args, payload):
 
 def cmd_field_info(args):
     # the description reads no table; format_element would name g as g^1
-    ctx = _field_from_args(args, tables=False)
+    ctx = _table_free_field(*_field_spec(args))
     gen = "g^1" if ctx.generator != 1 else "1"
     print(f"field GF({ctx.p}^{ctx.n}), q = {ctx.q}")
     print(f"modulus {hex(ctx.modulus_code)} (coefficients, constant first: "
@@ -73,7 +75,7 @@ def cmd_field_info(args):
 
 
 def cmd_check_pp(args):
-    ctx = _field_from_args(args)
+    ctx = build_field(*_field_spec(args))
     f = parse_poly(ctx, args.poly)
     rep = is_complete_permutation(ctx, f) if args.complete else is_permutation(ctx, f)
     print(rep.verdict)
@@ -90,7 +92,7 @@ def cmd_check_pp(args):
 
 
 def cmd_lemma1(args):
-    ctx = _field_from_args(args)
+    ctx = build_field(*_field_spec(args))
     h_comp = parse_poly(ctx, args.h)
     # h must be a plain monomial sum
     pairs = []
@@ -196,7 +198,7 @@ def _reconstruct_command(args, report):
 
 
 def cmd_decompose(args):
-    ctx = _field_from_args(args)
+    ctx = build_field(*_field_spec(args))
     x = ctx.parse_element(args.x)
     d = decompose(ctx, x)
     print(f"{ctx.format_element(x)} = u * lambda with "
@@ -207,7 +209,7 @@ def cmd_decompose(args):
 
 
 def cmd_solve_quad(args):
-    ctx = _field_from_args(args)
+    ctx = build_field(*_field_spec(args))
     u = ctx.parse_element(args.u)
     v = ctx.parse_element(args.v)
     if u == 0:

@@ -35,10 +35,6 @@ class ChecklistEntry:
 class HypothesisChecklist:
     entries: tuple
 
-    def all_true(self):
-        """Every clause as stated, including reported-only ones."""
-        return all(e.ok for e in self.entries)
-
     def satisfied(self):
         """Every gating clause; this drives parameter enumeration."""
         return all(e.ok for e in self.entries if e.gating)

@@ -4,8 +4,8 @@ Elements are plain Python ints: the coefficient vector (c_0, ..., c_{n-1})
 over GF(p) is packed as the base-p integer sum(c_i * p^i), so the constant
 term is the least significant digit.  For p = 2 this is the usual bit
 vector.  A FieldCtx owns the modulus, a generator, and discrete-log
-tables, which are read-only numpy arrays; every field has them, since
-check_order refuses any q above TABLE_BOUND before work starts.  Every
+tables, which are read-only numpy arrays; build_field builds them for
+every field, as check_order refuses any q above TABLE_BOUND first.  Every
 code and log fits in int32 below that bound, so the tables are int32, and
 so is every value array the vector kernels return, whatever the integer
 dtype of their operands.  In odd characteristic add_vec reads no log: it
@@ -300,24 +300,11 @@ def canonical_modulus(p, n):
 # field context
 # ---------------------------------------------------------------------------
 
-class _NoTables:
-    """Stands in for the scalar exp and log tables of a context built
-    without them: any read raises the ValueError that FieldCtx._tables
-    raises, so the scalar ops need no check of their own."""
-
-    def __init__(self, message):
-        self.message = message
-
-    def __getitem__(self, index):
-        raise ValueError(self.message)
-
-
 class FieldCtx:
     """A concrete GF(p^n): modulus, generator, codec, and log tables.
 
-    Do not construct directly; use build_field.  A context built with
-    tables=False has only the modulus, the generator and the _notable
-    arithmetic; everything that reads a table raises ValueError.
+    Do not construct directly; use build_field, which builds the tables
+    of every context it returns.
     """
 
     def __init__(self, p, n, modulus):
@@ -328,24 +315,18 @@ class FieldCtx:
         self.modulus_code = _code_of(modulus, p)
         self.generator = 1
         self._qm1 = self.q - 1
-        self._P = None                              # points 0, g^0, g^1, ...: int32, or None
+        self._P = None                              # points 0, g^0, g^1, ...: int32
         self._E = None                              # E[i] = code of g^i: the view P[1:]
         self._L = None                              # L[code] = i, int32, L[0] = 0
         self._group = self._groups = None           # odd p: add_vec's group base p^g, count
         self._T = None                              # odd p, g >= 2: T[u*p^g + v] = u + v digitwise
-        # memoryview(E) and memoryview(L) once the tables are built, so that
-        # scalar reads give int; until then, reads raise
-        self._exp = self._log = _NoTables(f"{self!r} was built without log tables")
+        self._exp = self._log = None                # memoryviews of E and L: scalar reads give int
         self._mod_int = self.modulus_code if p == 2 else None
         self._as_solver = None                      # lazy, used by circle.solve_quadratic
         self._powers = {}                           # poly.evaluate_all's memo of base powers
         self._parts = {}                            # families._part's memo of terms and clauses
 
     # -- codec ------------------------------------------------------------
-
-    @property
-    def has_tables(self):
-        return self._E is not None
 
     def _build_tables(self):
         """exp/log tables from the generator, and for odd p add_vec's digit
@@ -486,11 +467,6 @@ class FieldCtx:
 
     # -- vectorised helpers (code-indexed numpy arrays) ----------------------
 
-    def _tables(self):
-        if self._E is None:
-            raise ValueError(self._log.message)
-        return self._E, self._L
-
     def add_vec(self, A, B, out=None):
         """A + B elementwise on 1-d integer arrays of codes, as a new int32
         array, or written into the int32 array out, which may be A or B;
@@ -502,7 +478,6 @@ class FieldCtx:
             return np.bitwise_xor(A, B, out=out, dtype=np.int32)
         if np.ndim(A) == 0:
             A, B = B, A                 # the sum commutes, so A is the array
-        self._tables()                  # raises for a field without tables
         if out is None:
             out = np.empty(len(A), dtype=np.int32)
         for lo, hi in _slices(len(A)):
@@ -548,8 +523,7 @@ class FieldCtx:
         return self._log_shift(A, self._qm1 // 2)
 
     def mul_vec(self, A, B):
-        _, L = self._tables()
-        out = self._log_shift(A, L.take(B))
+        out = self._log_shift(A, self._L.take(B))
         np.copyto(out, 0, where=B == 0)
         return out
 
@@ -561,21 +535,19 @@ class FieldCtx:
     def _log_shift(self, A, k):
         """g^(log A + k) with zeros kept, for k in [0, q-1) or an array of
         such logs: a sum of two logs, so one wrap reduces it."""
-        E, L = self._tables()
-        idx = L.take(A)
+        idx = self._L.take(A)
         idx += k
-        out = E.take(_wrap(idx, self._qm1))
+        out = self._E.take(_wrap(idx, self._qm1))
         np.copyto(out, 0, where=A == 0)
         return out
 
     def pow_vec(self, A, e):
-        E, L = self._tables()
         if e == 0:
             return np.ones_like(A, dtype=np.int32)
         # log x * e passes 2^31, so the product is formed in int64
-        idx = np.multiply(L.take(A), e % self._qm1, dtype=np.int64)
+        idx = np.multiply(self._L.take(A), e % self._qm1, dtype=np.int64)
         idx %= self._qm1
-        out = E[idx]
+        out = self._E[idx]
         out[A == 0] = 0
         return out
 
@@ -590,7 +562,7 @@ class FieldCtx:
         slice moves it on in place, so only the first slice builds it.
         """
         qm1 = self._qm1
-        k, e = self._log[c], e % qm1    # the log read raises for a field without tables
+        k, e = self._log[c], e % qm1
         E = self._E
         count = hi - lo
         if e == 0:                      # x^(q-1) = 1 for x != 0
@@ -844,15 +816,23 @@ def _find_generator(ctx, candidates):
     raise ValueError("no generator found (modulus not irreducible?)")
 
 
-def build_field(p, n, modulus=None, tables=True):
-    """Construct GF(p^n).
+def build_field(p, n, modulus=None):
+    """Construct GF(p^n) with its log tables.
 
     modulus may be a coefficient tuple/list (ascending, monic, degree n) or a
     packed integer code; default is the canonical smallest irreducible.
-    Log tables are built unless tables is false, for callers that read only
-    the modulus and the generator.  A field above TABLE_BOUND is refused
-    first, before p is tested or a modulus is searched for.
+    A field above TABLE_BOUND is refused first, before p is tested or a
+    modulus is searched for.
     """
+    ctx = _table_free_field(p, n, modulus)
+    ctx._build_tables()
+    return ctx
+
+
+def _table_free_field(p, n, modulus):
+    """build_field's context before its tables are built: the validated
+    modulus and the generator, which is all the field-info command reads.
+    Nothing may read a table of it."""
     if n < 1:
         raise ValueError("extension degree must be positive")
     q = check_order(p, n)
@@ -882,8 +862,6 @@ def build_field(p, n, modulus=None, tables=True):
     ctx = FieldCtx(p, n, mod)
     # for n >= 2, codes below p are GF(p) elements, of order dividing p - 1 < q - 1
     ctx.generator = _find_generator(ctx, range(p if n > 1 else 1, q))
-    if tables:
-        ctx._build_tables()
     return ctx
 
 

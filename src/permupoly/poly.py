@@ -37,17 +37,16 @@ class SparsePoly:
     increasing, coefficients nonzero.  The empty tuple is the zero poly."""
 
     terms: tuple
-    reduced: bool = False
 
     @staticmethod
-    def make(ctx, pairs, reduced=False):
+    def make(ctx, pairs):
         acc = {}
         for e, c in pairs:
             if e < 0:
                 raise ValueError("inner polynomial exponents must be non-negative")
             acc[e] = ctx.add(acc.get(e, 0), c)
         terms = tuple((e, c) for e, c in sorted(acc.items()) if c != 0)
-        return SparsePoly(terms, reduced)
+        return SparsePoly(terms)
 
     def degree(self):
         return self.terms[-1][0] if self.terms else -1
@@ -195,12 +194,8 @@ def evaluate_all(ctx, f):
     a != 0.  The result is a fresh writable int32 array, filled one
     KERNEL_BLOCK slice at a time, so every other array the evaluation
     makes is the size of a slice.
-
-    Needs log tables; without them it raises before any work, even for f = x.
     """
     P = ctx._P
-    if P is None:
-        ctx._tables()                   # raises: the field has no log tables
     q = ctx.q
     terms = _x_terms(f) if isinstance(f, SparsePoly) else f.terms
     values, runs, lo = np.empty(q, dtype=np.int32), {}, 0
@@ -228,7 +223,7 @@ def reduce_mod_field(ctx, f):
     if values[0] != 0:
         pairs.append((0, int(values[0])))
     if q > 1:
-        E, L = ctx._tables()
+        E, L = ctx._E, ctx._L
         qm1 = q - 1
         # values at g^i are values[i + 1]; zeros masked out
         nz = np.nonzero(values[1:])[0]
@@ -240,7 +235,7 @@ def reduce_mod_field(ctx, f):
         c_top = ctx.neg(ctx.field_sum_vec(values))
         if c_top:
             pairs.append((qm1, c_top))
-    return SparsePoly(tuple(pairs), reduced=True)
+    return SparsePoly(tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def _condition(checklist, cond_name):
     return held
 
 
-def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
+def _scan(family, field_params, mode, modulus, ctx):
     q = check_order(*family_field_shape(family, field_params))
     domain = FAMILIES[family].domain_size(field_params, q)   # the enumeration guard
     cond_name = FAMILIES[family].necessity if mode == "necessity" else None
@@ -152,7 +152,7 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
     stride = 1
     if cond_name is not None:
         violating = FAMILIES[family].violating(field_params, q)
-        stride = max(1, -(-violating // sample_threshold))  # ceil
+        stride = max(1, -(-violating // SAMPLE_THRESHOLD))  # ceil
 
     report = ScanReport(
         family=family, mode=mode,
@@ -187,7 +187,7 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
                     ctx, params, expected, rep.verdict,
                     rep.witness if cond else None))
         # one row past the cap tells that rows were dropped
-        if len(rows) <= row_cap:
+        if len(rows) <= ROW_CAP:
             rows.append((*_ROW_VALUES(vars(params)), cond,
                          None if cond_name is None else cond, rep.permutation))
 
@@ -201,24 +201,20 @@ def _scan(family, field_params, mode, modulus, ctx, row_cap, sample_threshold):
         tt, ft = report.pp_true_satisfying, report.pp_true_violating
         report.confusion = dict(tt=tt, tf=report.satisfying - tt, ft=ft,
                                 ff=report.total - report.satisfying - ft)
-    report.rows_truncated = len(rows) > row_cap
-    del rows[row_cap:]
+    report.rows_truncated = len(rows) > ROW_CAP
+    del rows[ROW_CAP:]
     report.duration_ms = (time.perf_counter() - start) * 1e3
     return report
 
 
-def scan_sufficiency(family, field_params, modulus=None, ctx=None,
-                     row_cap=ROW_CAP):
+def scan_sufficiency(family, field_params, modulus=None, ctx=None):
     """Check that every hypothesis-satisfying tuple yields a permutation."""
-    return _scan(family, field_params, "sufficiency", modulus, ctx, row_cap,
-                 SAMPLE_THRESHOLD)
+    return _scan(family, field_params, "sufficiency", modulus, ctx)
 
 
-def scan_necessity(family, field_params, modulus=None, ctx=None,
-                   row_cap=ROW_CAP, sample_threshold=SAMPLE_THRESHOLD):
+def scan_necessity(family, field_params, modulus=None, ctx=None):
     """Confusion-matrix test of the designated condition (P5, P6 only)."""
-    return _scan(family, field_params, "necessity", modulus, ctx, row_cap,
-                 sample_threshold)
+    return _scan(family, field_params, "necessity", modulus, ctx)
 
 
 # ---------------------------------------------------------------------------

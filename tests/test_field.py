@@ -702,13 +702,13 @@ def test_kernels_return_int32_for_any_integer_operands(p, n):
 
 def test_table_bound_boundary(monkeypatch):
     assert field.TABLE_BOUND == 1 << 24
-    assert build_field(2, 21).has_tables and build_field(3, 13).has_tables
+    assert len(build_field(2, 21)._P) == 1 << 21 and len(build_field(3, 13)._P) == 3 ** 13
     for p, n in ((2, 25), (3, 16)):
         with pytest.raises(ValueError, match=rf"^GF\({p}\^{n}\) is out of scope"):
             build_field(p, n)
     # q equal to the bound builds, with tables; the next power of p is refused
     monkeypatch.setattr(field, "TABLE_BOUND", 1 << 10)
-    assert build_field(2, 10).has_tables
+    assert len(build_field(2, 10)._P) == 1 << 10
     with pytest.raises(ValueError, match=r"limited to q <= 2\^10$"):
         build_field(2, 11)
 
@@ -960,19 +960,6 @@ def test_no_table_field(monkeypatch):
     with pytest.raises(ValueError, match=r"^GF\(2\^27\) is out of scope: "
                                          r"fields are limited to q <= 2\^24$"):
         build_field(2, 27)
-
-
-def test_table_free_context_reads_raise():
-    # a tables=False context answers every table read with the same
-    # ValueError as the vector path, not a TypeError from a missing table
-    ctx = build_field(2, 4, tables=False)
-    assert not ctx.has_tables and ctx._mul_notable(3, 5) == build_field(2, 4).mul(3, 5)
-    message = r"^GF\(2\^4, modulus=0x13\) was built without log tables$"
-    for read in (lambda: ctx.mul(3, 5), lambda: ctx.pow(3, 2), lambda: ctx.inv(3),
-                 lambda: ctx.gen_pow(1), lambda: ctx.format_element(3),
-                 ctx.elements_in_order, ctx._tables):
-        with pytest.raises(ValueError, match=message):
-            read()
 
 
 def test_rabin_gf2_matches_tuple_path():

@@ -117,7 +117,14 @@ def test_tables_read_only_and_values_fresh(p, n):
 def test_reduce_fermat(gf16):
     r = reduce_mod_field(gf16, parse_poly(gf16, "x^16"))
     assert r.terms == ((1, 1),)
-    assert r.reduced
+
+
+def test_reduced_poly_equals_made_poly(gf16):
+    # a reduced polynomial is the SparsePoly of its terms: equal, same hash
+    for text, pairs in (("x^3", [(3, 1)]), ("x^16 + g^2", [(0, 4), (1, 1)])):
+        r = reduce_mod_field(gf16, parse_poly(gf16, text))
+        made = SparsePoly.make(gf16, pairs)
+        assert r == made and hash(r) == hash(made)
 
 
 def test_reduce_zero(gf16):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import permupoly.scan as scan_mod
-from permupoly import scan_necessity, scan_sufficiency, write_report
+from permupoly import build_field, scan_necessity, scan_sufficiency, write_report
 from permupoly.families import FAMILIES, NECESSITY_CLAUSE, field_for_family
 from permupoly.scan import report_json
 
@@ -66,12 +66,14 @@ def test_empty_scan_valid_schema(gf4):
         assert key in d
 
 
-def test_threads_env(monkeypatch):
-    monkeypatch.setenv("PERMUPOLY_THREADS", "3")
-    rep = scan_necessity("P6", {"k": 2})
-    monkeypatch.delenv("PERMUPOLY_THREADS")
-    ref = scan_necessity("P6", {"k": 2})
-    assert strip_timing(rep) == strip_timing(ref)
+def test_field_and_scan_take_no_table_or_cap_options():
+    # every field has its tables, and the scan caps are module constants
+    with pytest.raises(TypeError):
+        build_field(2, 4, tables=False)
+    with pytest.raises(TypeError):
+        scan_necessity("P6", {"k": 2}, sample_threshold=50)
+    with pytest.raises(TypeError):
+        scan_sufficiency("P2", {"m": 3, "s": 6}, row_cap=10)
 
 
 def test_report_byte_identical_reruns(tmp_path):
@@ -105,19 +107,21 @@ def test_row_cap(monkeypatch):
         return real(ctx, poly)
 
     monkeypatch.setattr(scan_mod, "is_permutation", watching)
-    rep = scan_necessity("P6", {"k": 2}, row_cap=10)
+    monkeypatch.setattr(scan_mod, "ROW_CAP", 10)
+    rep = scan_necessity("P6", {"k": 2})
     assert len(held) == rep.total == 120 and max(held) == 11
     assert len(rep.rows) == 10 and rep.rows_truncated
-    full = scan_necessity("P6", {"k": 2}, row_cap=rep.total)
+    monkeypatch.setattr(scan_mod, "ROW_CAP", rep.total)
+    full = scan_necessity("P6", {"k": 2})
     assert len(full.rows) == full.total and not full.rows_truncated
 
 
-def test_sampled_necessity_deterministic():
+def test_sampled_necessity_deterministic(monkeypatch):
     # force the stride path with a tiny threshold
-    full = scan_necessity("P6", {"k": 2}, sample_threshold=50)
+    monkeypatch.setattr(scan_mod, "SAMPLE_THRESHOLD", 50)
+    full = scan_necessity("P6", {"k": 2})
     assert full.sampled
-    again = [scan_necessity("P6", {"k": 2}, sample_threshold=50)
-             for _ in range(2)]
+    again = [scan_necessity("P6", {"k": 2}) for _ in range(2)]
     assert strip_timing(again[0]) == strip_timing(again[1])
     # condition-true side stays exhaustive
     assert full.confusion["tt"] + full.confusion["tf"] == 24
@@ -163,13 +167,19 @@ def test_scan_json_schema(tmp_path):
     assert isinstance(payload["duration_ms"], float)
 
 
-@pytest.mark.parametrize("family, field_params, kwargs, tuples", [
+def set_scan_constants(monkeypatch, constants):
+    """Set scan module constants, such as SAMPLE_THRESHOLD, for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(scan_mod, name, value)
+
+
+@pytest.mark.parametrize("family, field_params, constants, tuples", [
     ("P6", {"k": 3}, {}, 63 * 64),
-    ("P6", {"k": 3}, {"sample_threshold": 100}, 63 * 64),
+    ("P6", {"k": 3}, {"SAMPLE_THRESHOLD": 100}, 63 * 64),
     ("P5", {"m": 2}, {}, 16 * 16),
     ("P1", {"m": 2, "k": 3}, {}, 4096),
 ], ids=["P6-k3", "P6-k3-sampled", "P5-m2", "P1-m2k3"])
-def test_scan_builds_each_tuple_once(monkeypatch, family, field_params, kwargs,
+def test_scan_builds_each_tuple_once(monkeypatch, family, field_params, constants,
                                      tuples):
     # one make_family call per enumerated tuple, each tuple once
     import permupoly.families as families_mod
@@ -181,41 +191,44 @@ def test_scan_builds_each_tuple_once(monkeypatch, family, field_params, kwargs,
         return real(params)
 
     monkeypatch.setattr(families_mod, "make_family", counting)
+    set_scan_constants(monkeypatch, constants)
     scan = scan_necessity if family in NECESSITY_CLAUSE else scan_sufficiency
-    scan(family, field_params, **kwargs)
+    scan(family, field_params)
     assert len(calls) == len(set(calls)) == tuples
 
 
 # 0x43 is GF(2^6)'s canonical modulus; 0x49 and 0x57 are two other
 # irreducibles of degree 6
 @pytest.mark.parametrize("modulus", [0x49, 0x57])
-@pytest.mark.parametrize("family, field_params, kwargs, tt, ff", [
+@pytest.mark.parametrize("family, field_params, constants, tt, ff", [
     ("P6", {"k": 3}, {}, 224, 1792),
     ("P5", {"m": 3}, {}, 448, 2688),
     # every 18th of the 1,792 violating tuples
-    ("P6", {"k": 3}, {"sample_threshold": 100}, 224, 100),
+    ("P6", {"k": 3}, {"SAMPLE_THRESHOLD": 100}, 224, 100),
 ], ids=["P6-k3", "P5-m3", "P6-k3-sampled"])
-def test_necessity_totals_do_not_depend_on_modulus(family, field_params,
-                                                   kwargs, tt, ff, modulus):
+def test_necessity_totals_do_not_depend_on_modulus(monkeypatch, family, field_params,
+                                                   constants, tt, ff, modulus):
     # verdict counts are properties of the abstract field
-    canonical = scan_necessity(family, field_params, **kwargs)
+    set_scan_constants(monkeypatch, constants)
+    canonical = scan_necessity(family, field_params)
     assert canonical.field["modulus"] == "0x43"
     assert canonical.confusion == dict(tt=tt, tf=0, ft=0, ff=ff)
-    other = scan_necessity(family, field_params, modulus=modulus, **kwargs)
+    other = scan_necessity(family, field_params, modulus=modulus)
     assert other.field["modulus"] == hex(modulus)
     assert other.to_dict()["totals"] == canonical.to_dict()["totals"]
     assert other.confusion == canonical.confusion
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"sample_threshold": 50}],
+@pytest.mark.parametrize("constants", [{}, {"SAMPLE_THRESHOLD": 50}],
                          ids=["exhaustive", "sampled"])
-def test_violating_count_off_by_one_is_caught(monkeypatch, kwargs):
+def test_violating_count_off_by_one_is_caught(monkeypatch, constants):
     p6 = FAMILIES["P6"]
     monkeypatch.setitem(FAMILIES, "P6", dataclasses.replace(
         p6, violating=lambda fp, q: p6.violating(fp, q) + 1))
+    set_scan_constants(monkeypatch, constants)
     with pytest.raises(AssertionError, match=r"^P6 \{'k': 2\} .* met 96 "
                        r"condition-violating tuples; its record states 97$"):
-        scan_necessity("P6", {"k": 2}, **kwargs)
+        scan_necessity("P6", {"k": 2})
 
 
 class FieldBuilt(Exception):
@@ -260,14 +273,15 @@ def test_scan_runs_on_calling_thread(monkeypatch):
                         recording(scan_mod.is_permutation))
     monkeypatch.setattr(families_mod, "make_family",
                         recording(families_mod.make_family))
-    monkeypatch.setenv("PERMUPOLY_THREADS", "3")
     scan_necessity("P6", {"k": 3})
-    scan_necessity("P6", {"k": 2}, sample_threshold=50)
+    monkeypatch.setattr(scan_mod, "SAMPLE_THRESHOLD", 50)
+    scan_necessity("P6", {"k": 2})
     assert threads == {threading.get_ident()}
 
 
 # sha256 of report_json (duration_ms zeroed) and of the CSV report, pinned
-# from the implementation before the scan loop was folded into one
+# from the implementation before the scan loop was folded into one; the
+# third column holds the scan constants each case sets
 PINNED_SCANS = [
     ("P1", {"m": 2, "k": 3}, {},
      "10f7b824f1afa3dd260c186dbcc60b26af2c41e17da86040d439f8761ca16b64",
@@ -290,7 +304,7 @@ PINNED_SCANS = [
     ("P6", {"k": 3}, {},
      "08446c1f4e94c48b6691f45485bdf7a4a28e8c091274148bda5439eaba7c7926",
      "edda08b9064c36b00c395cb4b5ca5bd960a3a743c5ee0cd96cf976bded1738b4"),
-    ("P6", {"k": 3}, {"sample_threshold": 100},
+    ("P6", {"k": 3}, {"SAMPLE_THRESHOLD": 100},
      "6a92570bc9dbb0b31ea9fb77f9b76da909fc43adbcd4778a73eeeb7f295f73fe",
      "ee3b98de098b2a4c58a43582c412a633c0171e32def0e6b3d7e7c6ddb4894df9"),
 ]
@@ -300,15 +314,16 @@ PINNED_SCANS = [
 # the [...-3] cases read the terms, clauses and base powers that the first
 # two scans left in the field's memos
 @pytest.mark.parametrize("scans", [1, 3])
-@pytest.mark.parametrize("family, field_params, kwargs, json_sha, csv_sha",
+@pytest.mark.parametrize("family, field_params, constants, json_sha, csv_sha",
                          PINNED_SCANS, ids=["P1", "P2", "P3", "P4-5^2", "P4-3^3",
                                            "P5", "P6", "P6-sampled"])
-def test_pinned_report_bytes(tmp_path, scans, family, field_params, kwargs,
-                             json_sha, csv_sha):
+def test_pinned_report_bytes(monkeypatch, tmp_path, scans, family, field_params,
+                             constants, json_sha, csv_sha):
+    set_scan_constants(monkeypatch, constants)
     scan = scan_necessity if family in NECESSITY_CLAUSE else scan_sufficiency
     ctx = field_for_family(family, field_params)
     for _ in range(scans):
-        rep = scan(family, field_params, ctx=ctx, **kwargs)
+        rep = scan(family, field_params, ctx=ctx)
     rep.duration_ms = 0.0
     path = tmp_path / "r.csv"
     write_report(rep, str(path), fmt="csv")
